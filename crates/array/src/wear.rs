@@ -45,6 +45,23 @@ impl WearMap {
         }
     }
 
+    /// A wear map over flat row-major write (and read) counters, taking
+    /// ownership of the buffers — the analytic engine materializes whole
+    /// planes and hands them over without a copy. Untracked reads
+    /// (`None`) are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer is not exactly `dims.cells()` long.
+    #[must_use]
+    pub fn from_flat(dims: ArrayDims, writes: Vec<u64>, reads: Option<Vec<u64>>) -> Self {
+        let reads = reads.unwrap_or_else(|| vec![0; dims.cells()]);
+        assert_eq!(writes.len(), dims.cells(), "flat write plane length mismatch");
+        assert_eq!(reads.len(), dims.cells(), "flat read plane length mismatch");
+        let (sum_writes, sum_reads) = (writes.iter().sum(), reads.iter().sum());
+        WearMap { dims, writes, reads, sum_writes, sum_reads }
+    }
+
     /// The dimensions this map covers.
     #[must_use]
     pub fn dims(&self) -> ArrayDims {
@@ -147,40 +164,6 @@ impl WearMap {
             }
             self.sum_reads += panel.sum_reads() * scale;
         }
-    }
-
-    /// Adds a flat row-major delta plane to the write counters — the
-    /// cache-blocked analytic scatter path: one contiguous zip over both
-    /// buffers with the grand total accumulated locally, no per-cell
-    /// index arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not exactly `cells()` long.
-    pub fn accumulate_flat_writes(&mut self, deltas: &[u64]) {
-        assert_eq!(deltas.len(), self.writes.len(), "flat write plane length mismatch");
-        let mut sum = 0u64;
-        for (cell, &delta) in self.writes.iter_mut().zip(deltas) {
-            *cell += delta;
-            sum += delta;
-        }
-        self.sum_writes += sum;
-    }
-
-    /// Adds a flat row-major delta plane to the read counters (see
-    /// [`WearMap::accumulate_flat_writes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not exactly `cells()` long.
-    pub fn accumulate_flat_reads(&mut self, deltas: &[u64]) {
-        assert_eq!(deltas.len(), self.reads.len(), "flat read plane length mismatch");
-        let mut sum = 0u64;
-        for (cell, &delta) in self.reads.iter_mut().zip(deltas) {
-            *cell += delta;
-            sum += delta;
-        }
-        self.sum_reads += sum;
     }
 
     /// Maximum writes over all cells (the lifetime-limiting cell, Eq. 4).
@@ -511,12 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_accumulation_matches_per_cell_adds() {
+    fn flat_planes_match_per_cell_adds() {
         let dims = ArrayDims::new(3, 4);
         let deltas: Vec<u64> = (0..dims.cells() as u64).collect();
-        let mut flat = WearMap::new(dims);
-        flat.accumulate_flat_writes(&deltas);
-        flat.accumulate_flat_reads(&deltas);
+        let flat = WearMap::from_flat(dims, deltas.clone(), Some(deltas.clone()));
         let mut slow = WearMap::new(dims);
         for (i, &d) in deltas.iter().enumerate() {
             slow.add_write_at(i / 4, i % 4, d);

@@ -8,9 +8,8 @@
 //! content-addressed store disabled (every cell rebuilds everything),
 //! cold (first touch builds, later cells reuse), and warm (a previous
 //! matrix already populated the store). The acceptance bar is
-//! `warm_store` ≥ 2× faster than `no_store`. The `fold` group is the
-//! cache-blocked vs scalar accumulation ablation on the same matrix.
-//! `scripts/bench.sh` records both into `BENCH_sim.json`.
+//! `warm_store` ≥ 2× faster than `no_store`. `scripts/bench.sh` records
+//! it into `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
@@ -78,19 +77,5 @@ fn bench_matrix_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fold_layout(c: &mut Criterion) {
-    let wl = workload();
-    let base = base_cfg().with_artifact_store(false);
-    let mut group = c.benchmark_group("fold");
-    group.sample_size(10);
-    for (name, blocked) in [("blocked", true), ("unblocked", false)] {
-        let cfg = base.with_blocked_folds(blocked);
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(run_matrix(&wl, cfg, None)));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_matrix_reuse, bench_fold_layout);
+criterion_group!(benches, bench_matrix_reuse);
 criterion_main!(benches);

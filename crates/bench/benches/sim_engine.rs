@@ -75,14 +75,14 @@ fn bench_hw_replay(c: &mut Criterion) {
 }
 
 fn bench_analytic_query(c: &mut Criterion) {
-    // The replay-free engine ablation: a closed-form query is O(cells)
-    // arithmetic over prefix panels regardless of the iteration count,
-    // while compiled replay folds every epoch (O(N/period)) and step
-    // replay walks the trace every iteration (O(N)). Construction — the
-    // symbolic trace walk and prefix-panel build — is timed separately
-    // (`build/*`): a lifetime solve pays it once and then issues dozens
-    // of point queries, so `analytic/*` times the query on a built
-    // engine, the shape the solve's bisection loop sees.
+    // The replay-free engine ablation: a closed-form query costs the same
+    // at any iteration count (row-vector prefix sums over the table
+    // cycle), while compiled replay folds every epoch (O(N/period)) and
+    // step replay walks the trace every iteration (O(N)). Construction —
+    // the symbolic trace walk the closed form starts from — is timed
+    // separately (`build/*`): a lifetime solve pays it once and then
+    // issues dozens of point queries, so `analytic/*` times the query on
+    // a built engine, the shape the solve's bisection loop sees.
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
     // Store off so `build/*` times a real symbolic walk + panel build
     // every iteration; warm-store construction is matrix_reuse's subject.

@@ -410,9 +410,8 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
 fn analytic_paths_json(command: &str, scale: Scale) -> Option<Json> {
     use nvpim_balance::BalanceConfig;
     let cfg = scale.sim_config();
-    let label = |config: BalanceConfig| {
-        nvpim_core::analytic::classify(config, cfg.schedule, scale.dims, cfg.track_reads).label()
-    };
+    let label =
+        |config: BalanceConfig| nvpim_core::analytic::classify(config, cfg.schedule).label();
     match command {
         "fig14" | "fig15" | "fig16" | "fig17" | "table3" | "all" => {
             let mut obj = Json::object();

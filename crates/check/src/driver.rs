@@ -523,7 +523,7 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
     // step replay, and the replay-free analytic engine to both. A period
     // of 5 against `conservation_iters = 24` crosses four full software
     // epochs plus a partial final one, so the cycle-power fold, the
-    // short-span tail, and the analytic prefix-panel algebra are all
+    // short-span tail, and the analytic cycle algebra are all
     // exercised. Every configuration runs — non-Hw maps skip the kernel
     // engine but still pin the analytic closed-form/lazy paths.
     let kernel_cfg = cfg.with_schedule(RemapSchedule::every(5)).with_read_tracking(true);
@@ -535,10 +535,9 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
 
 /// Runs the store pass: every configured [`BalanceConfig`] cross-checked
 /// for wear bit-identity with the artifact store off (reference), on
-/// (process-wide), cold, warm, and starved to a 1-byte budget, plus the
-/// cache-blocked vs scalar fold paths. A period of 5 against
-/// `conservation_iters = 24` keeps several software epochs in play so
-/// panel and kernel artifacts are actually built and reused.
+/// (process-wide), cold, warm, and starved to a 1-byte budget. A period
+/// of 5 against `conservation_iters = 24` keeps several software epochs
+/// in play so panel and kernel artifacts are actually built and reused.
 pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
     let workload = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
     let cfg = SimConfig::paper()
@@ -548,10 +547,9 @@ pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
         .with_read_tracking(true);
     for &config in &opts.configs {
         report.extend(store::verify_store_equivalence(&workload, config, cfg));
-        // Six obligations per configuration: the simulator pair, three
-        // analytic store regimes, the eviction-leak bound, and the fold
-        // cross-check.
-        report.bump_checks(6);
+        // Five obligations per configuration: the simulator pair, three
+        // analytic store regimes, and the eviction-leak bound.
+        report.bump_checks(5);
     }
 }
 

@@ -8,32 +8,51 @@
 //! factored the *epoch*: express the whole epoch sequence as permutation
 //! cycle algebra and answer any N directly.
 //!
+//! # Row-vector epoch algebra
+//!
+//! Every epoch deposits a sum of rank-1 terms, one per lane class `c`:
+//! `rowvec(c, e) ⊗ lanes(c, e)`. `lanes(c, e)` is the class's lane set
+//! under the epoch's lane table. On the software path `rowvec(c, e)` is
+//! `T_e·V_c`, the class's per-row deposit `V_c` scattered through the row
+//! table; with `Hw` it is the epoch's folded kernel slots placed through
+//! the hardware arrangement `D_e`. So all epoch algebra runs on O(rows)
+//! row vectors keyed by the physical lane set they multiply (identical
+//! sets share a key), and a query materializes cells once per distinct
+//! key at the end. When the row tables repeat and the lane tables do not,
+//! the transposed form keys lane vectors by (row phase, class) instead.
+//!
 //! # Reducibility ladder
 //!
 //! A configuration's epoch sequence is reducible exactly when every future
 //! software row/lane table is a pure function of the epoch index
 //! ([`nvpim_balance::Strategy::epoch_period`]):
 //!
-//! 1. **Closed form** ([`AnalyticPath::ClosedForm`], O(cells) per query) —
-//!    `{St,Bs}` on both axes, or any config under a `never()` schedule.
-//!    The table sequence has finite period `L = lcm(L_row, L_col)`, so we
-//!    precompute *prefix panels*: cumulative per-cell deposits of the first
-//!    `j` epochs, `j = 0..=L`. Without `Hw` each epoch's one-iteration
-//!    deposit pattern is constant within the epoch and the query is pure
-//!    arithmetic on the prefix panels. With `Hw` the hardware arrangement
-//!    also evolves, but it advances by a *fixed* permutation per epoch
-//!    (the kernel's end permutation raised to the schedule period), so a
-//!    super-cycle of `L` epochs advances the arrangement by a fixed
-//!    permutation `F`; `k` super-cycles fold over `F`'s cycle structure in
-//!    O(cells) exactly like one epoch folds over `E` ([`PermFolder`]).
+//! 1. **Closed form** ([`AnalyticPath::ClosedForm`]) — `{St,Bs}` on both
+//!    axes, with or without `Hw`, or any config under a `never()`
+//!    schedule. The tables repeat with period `L = lcm(L_row, L_col)`, so
+//!    `N = (qL + r)·p + rem` iterations weigh epoch `j` of the cycle by
+//!    `p·(q + [j < r]) + rem·[j = r]`. Each key keeps prefix sums of its
+//!    row vectors over the cycle's phases, so without `Hw` a query weighs
+//!    three prefix sums per key. With `Hw` the arrangement advances by
+//!    the fixed permutation `F = D_L` per `L`-epoch super-cycle, and `F`
+//!    acts on rows only: `q` super-cycles fold the cycle's row vectors
+//!    over `F`'s cycles ([`PermFolder`]), and the `r` remainder epochs
+//!    plus the partial one add shifted by `Fᵏ`. Memory is
+//!    O(cells + L·rows·classes) and query cost is independent of N;
+//!    kernels and phases are built only as far as queries reach, so a
+//!    20-epoch query never touches a 128-phase cycle's tail.
 //! 2. **Lazy** ([`AnalyticPath::Lazy`], O(epochs elapsed) per first query,
 //!    O(new epochs) for monotone follow-ups) — any axis running `Ra`
-//!    without `Hw`, or `Ra` lanes with periodic rows under `Hw`, or a
-//!    closed form whose prefix panels would exceed
-//!    [`MAX_PREFIX_ENTRIES`]. Epoch states are enumerated in schedule
-//!    order with the exact seeded RNG streams, but each epoch costs one
-//!    O(rows) scatter (software) or one O(rows) kernel fold (hardware,
-//!    with kernels memoized per row-table phase) — never a trace walk.
+//!    without `Hw`, or `Ra` lanes with periodic rows under `Hw`. Epoch
+//!    states are enumerated in schedule order with the exact seeded RNG
+//!    streams. Without `Hw` the epochs are grouped by the axis that
+//!    repeats: `Ra` rows add O(rows) row vectors per lane key (`RaxSt`:
+//!    one lane table, `RaxBs`: at most `L_col`), `Ra` lanes under periodic
+//!    rows add lane vectors per row phase (`StxRa`: one row table,
+//!    `BsxRa`: at most `L_row`), and only `RaxRa` pays one cell scatter
+//!    per epoch. With `Hw` each epoch costs one O(rows) kernel fold
+//!    (kernels memoized per row-table phase) and one scatter — never a
+//!    trace walk.
 //! 3. **Fallback** ([`AnalyticPath::Fallback`]) — `Ra` rows with `Hw`: the
 //!    software table feeding the kernel compiler changes unpredictably
 //!    every epoch, so each epoch needs a fresh symbolic trace walk anyway.
@@ -47,12 +66,12 @@
 //!
 //! # Artifact reuse
 //!
-//! Engine construction routes its expensive intermediates — the logical
-//! panels of one trace walk, compiled +Hw kernels, and whole closed-form
-//! backends — through [`crate::artifacts`]: a content-addressed store shared
-//! across matrix cells, sweep points, and serve requests. Sibling
-//! configurations that share a trace (all 18 do) or a row-table phase reuse
-//! each other's work; [`SimConfig::artifact_store`] disables the store, and
+//! Engines route their expensive intermediates — the logical panels of one
+//! trace walk and compiled +Hw kernels — through [`crate::artifacts`]: a
+//! content-addressed store shared across matrix cells, sweep points, and
+//! serve requests. Sibling configurations that share a trace (all 18 do)
+//! or a row-table phase reuse each other's work;
+//! [`SimConfig::artifact_store`] disables the store, and
 //! [`AnalyticWearEngine::artifact_use`] reports how many lookups hit.
 //! Because every memoized builder is deterministic in its key, reuse is
 //! bit-identity-safe (see the `artifacts` module docs for the keying
@@ -75,11 +94,12 @@
 //! assert!(wear.max_writes() > 0);
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use nvpim_array::trace::TraceCounts;
-use nvpim_array::{ArchStyle, ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
-use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule};
+use nvpim_array::{ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
+use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule, Strategy};
 use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
 
@@ -88,21 +108,12 @@ use crate::kernel;
 use crate::parallel::fan_out;
 use crate::sim::{EnduranceSimulator, SimConfig, SimResult};
 
-/// Chunk length (in `u64` cells) for the blocked fold loops: four zipped
-/// streams of 1024 × 8 B stay L1-resident on every target we care about.
-const FOLD_CHUNK: usize = 1 << 10;
-
-/// Ceiling on closed-form prefix-panel storage, in `u64` entries
-/// (`(L + 1) × cells`, doubled when reads are tracked). A super-cycle
-/// whose panels would exceed this demotes to the lazy path, which stores
-/// O(cells) regardless of `L`.
-pub const MAX_PREFIX_ENTRIES: usize = 8 << 20;
-
 /// Which rung of the reducibility ladder a configuration landed on — see
 /// the [module docs](self) for the criteria.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalyticPath {
-    /// O(cells) pure-arithmetic queries from precomputed prefix panels.
+    /// Queries independent of N: weighted cycle phases of O(rows) row
+    /// vectors, materialized once per distinct lane set.
     ClosedForm,
     /// Epoch states enumerated lazily (exact RNG streams) and folded
     /// without trace walks; monotone queries advance incrementally.
@@ -162,65 +173,48 @@ fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
 }
 
-fn prefix_entries(l: u64, dims: ArrayDims, track_reads: bool) -> usize {
-    (l as usize).saturating_add(1).saturating_mul(dims.cells()).saturating_mul(if track_reads {
-        2
-    } else {
-        1
-    })
-}
-
-fn classify_inner(
-    balance: BalanceConfig,
-    schedule: RemapSchedule,
-    dims: ArrayDims,
-    track_reads: bool,
-) -> PathChoice {
+fn classify_inner(balance: BalanceConfig, schedule: RemapSchedule) -> PathChoice {
+    // Under never() only epoch 0 exists, and it is the identity for every
+    // strategy; otherwise only `Ra` lacks a finite epoch period.
     let never = schedule.period().is_none();
-    if !balance.hw {
-        if never {
-            return PathChoice::Static;
-        }
-        match (balance.row.epoch_period(dims.rows()), balance.col.epoch_period(dims.lanes())) {
-            (Some(rp), Some(cp))
-                if prefix_entries(lcm(rp, cp), dims, track_reads) <= MAX_PREFIX_ENTRIES =>
-            {
-                PathChoice::Static
-            }
-            _ => PathChoice::LazySw,
-        }
-    } else {
-        if never {
-            // A single epoch: one kernel folded over its own permutation,
-            // no prefix panels at all.
-            return PathChoice::HwClosed;
-        }
-        let sw_rows = dims.rows() - 1;
-        match (balance.row.epoch_period(sw_rows), balance.col.epoch_period(dims.lanes())) {
-            (Some(rp), Some(cp)) => {
-                if prefix_entries(lcm(rp, cp), dims, track_reads) <= MAX_PREFIX_ENTRIES {
-                    PathChoice::HwClosed
-                } else {
-                    PathChoice::LazyHw
-                }
-            }
-            (Some(_), None) => PathChoice::LazyHw,
-            (None, _) => PathChoice::Fallback,
-        }
+    let periodic = |s: Strategy| never || s != Strategy::Random;
+    match (balance.hw, periodic(balance.row), periodic(balance.col)) {
+        (false, true, true) => PathChoice::Static,
+        (false, _, _) => PathChoice::LazySw,
+        (true, true, true) => PathChoice::HwClosed,
+        (true, true, false) => PathChoice::LazyHw,
+        (true, false, _) => PathChoice::Fallback,
     }
 }
 
 /// Predicts which [`AnalyticPath`] [`AnalyticWearEngine::new`] will choose
 /// for a configuration, without building the engine — used by `repro` and
-/// `serve` to label manifests.
+/// `serve` to label manifests. The ladder depends only on the strategies
+/// and whether the schedule ever re-maps.
 #[must_use]
-pub fn classify(
-    balance: BalanceConfig,
-    schedule: RemapSchedule,
-    dims: ArrayDims,
-    track_reads: bool,
-) -> AnalyticPath {
-    classify_inner(balance, schedule, dims, track_reads).path()
+pub fn classify(balance: BalanceConfig, schedule: RemapSchedule) -> AnalyticPath {
+    classify_inner(balance, schedule).path()
+}
+
+/// Splits `n` iterations into whole epochs and the partial last epoch's
+/// length (`never()` is one endless partial epoch).
+fn split_epochs(n: u64, period: Option<u64>) -> (u64, u64) {
+    match period {
+        Some(p) => (n / p, n % p),
+        None => (0, n),
+    }
+}
+
+/// The epochs `j` of an `l`-epoch cycle that `n` iterations reach, with
+/// their total iteration weight: `N = (ql + r)·p + rem` gives epoch `j`
+/// the weight `p·(q + [j < r]) + rem·[j = r]`. Yields `min(l, epochs)`
+/// pairs, so the cost never scales with `l` alone.
+fn cycle_weights(n: u64, period: Option<u64>, l: u64) -> impl Iterator<Item = (u64, u64)> {
+    let (full, rem) = split_epochs(n, period);
+    let p = period.unwrap_or(0);
+    let (q, r) = (full / l, full % l);
+    let reached = if q > 0 { l } else { r + u64::from(rem > 0) };
+    (0..reached).map(move |j| (j, p * (q + u64::from(j < r)) + if j == r { rem } else { 0 }))
 }
 
 /// Per-class, per-logical-row write (and read) panels of one trace walk —
@@ -231,12 +225,15 @@ pub fn classify(
 struct LogicalPanels {
     writes: Vec<Vec<u64>>,
     reads: Option<Vec<Vec<u64>>>,
+    /// Per class, the logical rows with any write or read deposit.
+    live: Vec<Vec<usize>>,
 }
 
 impl LogicalPanels {
     fn approx_bytes(&self) -> usize {
         let entries = self.writes.iter().map(Vec::len).sum::<usize>()
-            + self.reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>());
+            + self.reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>())
+            + self.live.iter().map(Vec::len).sum::<usize>();
         entries * std::mem::size_of::<u64>()
     }
 }
@@ -245,12 +242,12 @@ impl LogicalPanels {
 /// and lane permutation `P` deposits `V[class][r]` at `(T[r], P[lane])` for
 /// each lane of the class. Mirrors `Accumulator::replay_cached` with the
 /// identity table.
-fn logical_panels(trace: &Trace, arch: ArchStyle, track_reads: bool) -> LogicalPanels {
+fn logical_panels(trace: &Trace, cfg: SimConfig) -> LogicalPanels {
     let rows = trace.dims().rows();
     let n_classes = trace.classes().len();
-    let writes_per_gate = arch.writes_per_gate();
+    let writes_per_gate = cfg.arch.writes_per_gate();
     let mut writes = vec![vec![0u64; rows]; n_classes];
-    let mut reads = track_reads.then(|| vec![vec![0u64; rows]; n_classes]);
+    let mut reads = cfg.track_reads.then(|| vec![vec![0u64; rows]; n_classes]);
     for step in trace.steps() {
         match *step {
             Step::Write { row, class, .. } => writes[class][row] += 1,
@@ -276,7 +273,13 @@ fn logical_panels(trace: &Trace, arch: ArchStyle, track_reads: bool) -> LogicalP
             }
         }
     }
-    LogicalPanels { writes, reads }
+    let live = (0..n_classes)
+        .map(|c| {
+            let read = |r: usize| reads.as_ref().map_or(0, |reads| reads[c][r]);
+            (0..rows).filter(|&r| writes[c][r] > 0 || read(r) > 0).collect()
+        })
+        .collect();
+    LogicalPanels { writes, reads, live }
 }
 
 /// Fetches (or builds) the trace's logical panels through the store.
@@ -288,7 +291,7 @@ fn fetch_panels(
 ) -> Arc<LogicalPanels> {
     let key = artifacts::panels_key(fp, cfg.arch, cfg.track_reads);
     ctx.get_or_build(ArtifactKind::Panels, key, || {
-        let panels = logical_panels(trace, cfg.arch, cfg.track_reads);
+        let panels = logical_panels(trace, cfg);
         let bytes = panels.approx_bytes();
         (panels, bytes)
     })
@@ -312,189 +315,473 @@ fn fetch_kernel(
     kernel
 }
 
-/// Zeroes `plane` and sizes it to `len` (scratch reuse across queries).
-fn zeroed_plane(plane: &mut Vec<u64>, len: usize) {
-    plane.clear();
-    plane.resize(len, 0);
+/// Flat row-major write (and read) planes a query materializes into.
+#[derive(Debug, Clone)]
+struct Planes {
+    dims: ArrayDims,
+    writes: Vec<u64>,
+    reads: Option<Vec<u64>>,
 }
 
-/// Reusable per-engine query scratch: the closed-form paths evaluate whole
-/// planes into these buffers instead of allocating per call.
+impl Planes {
+    fn new(dims: ArrayDims, track_reads: bool) -> Self {
+        Planes {
+            dims,
+            writes: vec![0; dims.cells()],
+            reads: track_reads.then(|| vec![0; dims.cells()]),
+        }
+    }
+
+    fn into_wear(self) -> WearMap {
+        WearMap::from_flat(self.dims, self.writes, self.reads)
+    }
+}
+
+/// Adds `rowvec ⊗ runs` to a row-major plane: `rowvec[x]` at every lane of
+/// every contiguous run of row `x`.
+fn add_outer(plane: &mut [u64], lanes: usize, rowvec: &[u64], runs: &[(usize, usize)]) {
+    for (row, &v) in plane.chunks_exact_mut(lanes).zip(rowvec) {
+        if v == 0 {
+            continue;
+        }
+        for &(start, end) in runs {
+            for cell in &mut row[start..end] {
+                *cell += v;
+            }
+        }
+    }
+}
+
+/// The ascending lanes of `set` as contiguous `start..end` runs.
+fn lane_runs(set: &LaneSet) -> Vec<(usize, usize)> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for lane in set.iter() {
+        match runs.last_mut() {
+            Some((_, end)) if *end == lane => *end += 1,
+            _ => runs.push((lane, lane + 1)),
+        }
+    }
+    runs
+}
+
+/// Interned physical lane sets — the keys row vectors are grouped under —
+/// with each set's contiguous runs for materialization.
 #[derive(Debug, Default)]
-struct QueryScratch {
-    plane_w: Vec<u64>,
-    plane_r: Vec<u64>,
-    folded: Vec<u64>,
-    col_in: Vec<u64>,
-    col_out: Vec<u64>,
-    rows: Vec<u64>,
+struct LaneKeys {
+    ids: HashMap<LaneSet, usize>,
+    runs: Vec<Vec<(usize, usize)>>,
 }
 
-/// Closed form for software-only configs with periodic tables.
-///
-/// `prefix[j][cell]` holds the per-iteration deposit pattern of epochs
-/// `0..j` summed — so `N = (qL + r)·p + rem` iterations evaluate as
-/// `p·(q·prefix[L] + prefix[r]) + rem·(prefix[r+1] − prefix[r])`,
-/// element-wise over cells.
+impl LaneKeys {
+    fn intern(&mut self, set: LaneSet) -> usize {
+        let runs = &mut self.runs;
+        *self.ids.entry(set).or_insert_with_key(|set| {
+            runs.push(lane_runs(set));
+            runs.len() - 1
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.runs.clear();
+    }
+}
+
+/// One write (and read) row vector per lane key; a key's vectors stay
+/// unallocated (empty) until terms are added under it.
+#[derive(Debug)]
+struct RowVecs {
+    rows: usize,
+    writes: Vec<Vec<u64>>,
+    reads: Option<Vec<Vec<u64>>>,
+}
+
+impl RowVecs {
+    fn new(rows: usize, track_reads: bool) -> Self {
+        RowVecs { rows, writes: Vec::new(), reads: track_reads.then(Vec::new) }
+    }
+
+    /// Grows to at least `keys` (unallocated) vectors.
+    fn fit(&mut self, keys: usize) {
+        for vecs in std::iter::once(&mut self.writes).chain(self.reads.as_mut()) {
+            if vecs.len() < keys {
+                vecs.resize_with(keys, Vec::new);
+            }
+        }
+    }
+
+    /// The key's write and read vectors, allocated on first use.
+    fn key_mut(&mut self, key: usize) -> (&mut [u64], Option<&mut [u64]>) {
+        fn alloc(v: &mut Vec<u64>, rows: usize) -> &mut [u64] {
+            v.resize(rows, 0);
+            v
+        }
+        self.fit(key + 1);
+        let rows = self.rows;
+        let reads = self.reads.as_mut().map(|reads| alloc(&mut reads[key], rows));
+        (alloc(&mut self.writes[key], rows), reads)
+    }
+
+    /// Adds one software epoch's terms: `w · T·V_c` under each class's key.
+    fn add_sw(&mut self, panels: &LogicalPanels, table: &[usize], keys: &[usize], w: u64) {
+        for (class, &key) in keys.iter().enumerate() {
+            let live = &panels.live[class];
+            let (acc, acc_reads) = self.key_mut(key);
+            let vw = &panels.writes[class];
+            for &r in live {
+                acc[table[r]] += w * vw[r];
+            }
+            if let (Some(vr), Some(acc)) = (&panels.reads, acc_reads) {
+                let vr = &vr[class];
+                for &r in live {
+                    acc[table[r]] += w * vr[r];
+                }
+            }
+        }
+    }
+
+    /// Adds one `Hw` epoch's terms: `span` iterations of `kernel` folded
+    /// per class and placed through the arrangement `d` under each class's
+    /// key.
+    fn add_hw(
+        &mut self,
+        kernel: &WearKernel,
+        d: &[usize],
+        keys: &[usize],
+        span: u64,
+        folded: &mut Vec<u64>,
+    ) {
+        folded.resize(d.len(), 0);
+        for (class, &key) in keys.iter().enumerate() {
+            let (acc, acc_reads) = self.key_mut(key);
+            kernel.fold_epoch_into(span, kernel.slot_writes(class), folded);
+            for (&slot_row, &v) in d.iter().zip(folded.iter()) {
+                acc[slot_row] += v;
+            }
+            if let (Some(acc), Some(slot_reads)) = (acc_reads, kernel.slot_reads(class)) {
+                kernel.fold_epoch_into(span, slot_reads, folded);
+                for (&slot_row, &v) in d.iter().zip(folded.iter()) {
+                    acc[slot_row] += v;
+                }
+            }
+        }
+    }
+
+    /// Adds `Σ rowvec ⊗ lanes` over every key into `planes`, then zeroes
+    /// the vectors for reuse.
+    fn drain_into(&mut self, keys: &LaneKeys, planes: &mut Planes) {
+        let lanes = planes.dims.lanes();
+        for (key, runs) in keys.runs.iter().enumerate() {
+            if let Some(v) = self.writes.get_mut(key) {
+                add_outer(&mut planes.writes, lanes, v, runs);
+                v.fill(0);
+            }
+            if let (Some(reads), Some(plane)) = (&mut self.reads, &mut planes.reads) {
+                if let Some(v) = reads.get_mut(key) {
+                    add_outer(plane, lanes, v, runs);
+                    v.fill(0);
+                }
+            }
+        }
+    }
+}
+
+/// The tables of a periodic strategy (`St`/`Bs`, or any strategy under
+/// `never()`, whose only epoch is the identity), built per phase when a
+/// query first reaches it.
+#[derive(Debug)]
+struct Phases {
+    strategy: Strategy,
+    n: usize,
+    tables: Vec<Option<Vec<usize>>>,
+}
+
+impl Phases {
+    fn new(strategy: Strategy, n: usize, schedule: RemapSchedule) -> Self {
+        let strategy = if schedule.period().is_some() { strategy } else { Strategy::Static };
+        let period = strategy.epoch_period(n).expect("periodic strategy");
+        Phases { strategy, n, tables: (0..period).map(|_| None).collect() }
+    }
+
+    fn period(&self) -> u64 {
+        self.tables.len() as u64
+    }
+
+    /// The table of epoch `epoch` (any epoch of the same phase shares it).
+    fn table(&mut self, epoch: u64) -> &[usize] {
+        let phase = epoch % self.period();
+        let (strategy, n) = (self.strategy, self.n);
+        self.tables[phase as usize]
+            .get_or_insert_with(|| strategy.table_at_epoch(n, phase).expect("periodic strategy"))
+    }
+}
+
+/// Per-class lane keys of a periodic lane strategy, one key list per
+/// phase, interned when a query first reaches the phase.
+#[derive(Debug)]
+struct LanePhases {
+    tables: Phases,
+    keys: Vec<Option<Vec<usize>>>,
+}
+
+impl LanePhases {
+    fn new(strategy: Strategy, lanes: usize, schedule: RemapSchedule) -> Self {
+        let tables = Phases::new(strategy, lanes, schedule);
+        let keys = (0..tables.period()).map(|_| None).collect();
+        LanePhases { tables, keys }
+    }
+
+    fn period(&self) -> u64 {
+        self.tables.period()
+    }
+
+    fn keys(&mut self, epoch: u64, classes: &[LaneSet], interner: &mut LaneKeys) -> &[usize] {
+        let tables = &mut self.tables;
+        self.keys[(epoch % tables.period()) as usize].get_or_insert_with(|| {
+            let perm = tables.table(epoch);
+            classes.iter().map(|c| interner.intern(c.permuted(perm))).collect()
+        })
+    }
+}
+
+/// Lane vectors keyed by (row phase, class): the transposed grouping, for
+/// epoch sequences whose row tables repeat while their lane tables do not.
+#[derive(Debug)]
+struct LaneVecs {
+    lanes: usize,
+    /// Per row phase, one lane-weight vector per class.
+    phases: Vec<Option<Vec<Vec<u64>>>>,
+}
+
+impl LaneVecs {
+    fn new(lanes: usize, row_period: u64) -> Self {
+        LaneVecs { lanes, phases: (0..row_period).map(|_| None).collect() }
+    }
+
+    /// Adds weight `w` at every lane each class occupies under `perm`, in
+    /// the vectors of the row phase of epoch `epoch`.
+    fn add(&mut self, epoch: u64, classes: &[LaneSet], perm: &[usize], w: u64) {
+        let lanes = self.lanes;
+        let phase = (epoch % self.phases.len() as u64) as usize;
+        let vecs = self.phases[phase].get_or_insert_with(|| vec![vec![0; lanes]; classes.len()]);
+        for (set, acc) in classes.iter().zip(vecs) {
+            for lane in set.iter() {
+                acc[perm[lane]] += w;
+            }
+        }
+    }
+
+    /// Adds `Σ (T·V_c) ⊗ lanevec` into `planes`, then zeroes the vectors.
+    fn drain_into(&mut self, panels: &LogicalPanels, rows: &mut Phases, planes: &mut Planes) {
+        let lanes = self.lanes;
+        for (phase, vecs) in self.phases.iter_mut().enumerate() {
+            let Some(vecs) = vecs else { continue };
+            let table = rows.table(phase as u64);
+            for (class, acc) in vecs.iter_mut().enumerate() {
+                if acc.iter().all(|&w| w == 0) {
+                    continue;
+                }
+                let plane_rows = std::iter::once((&mut planes.writes, &panels.writes))
+                    .chain(planes.reads.as_mut().zip(panels.reads.as_ref()));
+                for (plane, v) in plane_rows {
+                    for &r in &panels.live[class] {
+                        let scale = v[class][r];
+                        if scale == 0 {
+                            continue;
+                        }
+                        let row = &mut plane[table[r] * lanes..(table[r] + 1) * lanes];
+                        for (cell, &w) in row.iter_mut().zip(acc.iter()) {
+                            *cell += scale * w;
+                        }
+                    }
+                }
+                acc.fill(0);
+            }
+        }
+    }
+}
+
+/// One lane key's running sum after a phase that touched it.
+#[derive(Debug)]
+struct PhaseSum {
+    phase: u64,
+    writes: Vec<u64>,
+    reads: Option<Vec<u64>>,
+}
+
+impl PhaseSum {
+    fn plane(&self, reads: bool) -> Option<&[u64]> {
+        if reads {
+            self.reads.as_deref()
+        } else {
+            Some(&self.writes)
+        }
+    }
+}
+
+/// Prefix sums over the cycle's phases, per lane key: after each phase
+/// that adds terms under a key, the key's cumulative row vectors. A
+/// phase adds at most one entry per class, so the sums hold
+/// O(L·rows·classes) values, and any prefix of the cycle is one binary
+/// search per key away.
+#[derive(Debug, Default)]
+struct PhaseSums {
+    /// Phases summed so far (`0..phases`).
+    phases: u64,
+    by_key: Vec<Vec<PhaseSum>>,
+}
+
+impl PhaseSums {
+    /// Records phase `self.phases`, whose terms `terms` holds under
+    /// `keys`, and zeroes those terms.
+    fn push(&mut self, keys: &[usize], terms: &mut RowVecs) {
+        let phase = self.phases;
+        self.phases += 1;
+        for &key in keys {
+            if self.by_key.len() <= key {
+                self.by_key.resize_with(key + 1, Vec::new);
+            }
+            let sums = &mut self.by_key[key];
+            if sums.last().is_some_and(|s| s.phase == phase) {
+                continue; // two classes sharing a key in one phase
+            }
+            let add = |prev: Option<&Vec<u64>>, term: &mut Vec<u64>| {
+                let mut sum = std::mem::take(term);
+                if let Some(prev) = prev {
+                    for (s, &p) in sum.iter_mut().zip(prev) {
+                        *s += p;
+                    }
+                }
+                sum
+            };
+            let last = sums.last();
+            let writes = add(last.map(|s| &s.writes), &mut terms.writes[key]);
+            let reads = terms
+                .reads
+                .as_mut()
+                .map(|reads| add(last.and_then(|s| s.reads.as_ref()), &mut reads[key]));
+            sums.push(PhaseSum { phase, writes, reads });
+        }
+    }
+
+    /// The key's sum over the phases before `bound`, if any touched it.
+    fn before(&self, key: usize, bound: u64) -> Option<&PhaseSum> {
+        let sums = self.by_key.get(key)?;
+        let i = sums.partition_point(|s| s.phase < bound);
+        i.checked_sub(1).map(|i| &sums[i])
+    }
+}
+
+/// `row += w·x`.
+fn axpy(row: &mut [u64], w: u64, x: &[u64]) {
+    if w > 0 {
+        for (r, &v) in row.iter_mut().zip(x) {
+            *r += w * v;
+        }
+    }
+}
+
+/// Closed form for software-only configs with periodic tables (and any
+/// config under `never()`). Phase `j` of the `L`-phase cycle deposits
+/// `Σ_c (T_j·V_c) ⊗ (P_j·S_c)` per iteration; with the per-key prefix
+/// sums `S(<j)` over those phases, `N = (qL + r)·p + rem` iterations give
+/// each key the row vector `p·(q·S(<L) + S(<r)) + rem·(S(<r+1) − S(<r))`.
+/// When the row tables repeat sooner than the lane tables, the query
+/// instead adds lane vectors per row phase ([`LaneVecs`]) over the
+/// weighted phases it reaches ([`cycle_weights`]).
 #[derive(Debug)]
 struct StaticClosedForm {
     dims: ArrayDims,
     period: Option<u64>,
     l: u64,
-    prefix_w: Vec<Vec<u64>>,
-    prefix_r: Option<Vec<Vec<u64>>>,
+    panels: Arc<LogicalPanels>,
+    classes: Vec<LaneSet>,
+    rows: Phases,
+    lanes: LanePhases,
+    keys: LaneKeys,
+    sums: PhaseSums,
+    /// One phase's terms, staged for [`PhaseSums::push`].
+    terms: RowVecs,
+    row: Vec<u64>,
 }
 
 impl StaticClosedForm {
-    fn build(
+    fn new(
         trace: &Trace,
-        panels: &LogicalPanels,
+        panels: Arc<LogicalPanels>,
         balance: BalanceConfig,
         cfg: SimConfig,
     ) -> Self {
         let dims = trace.dims();
-        let (rows, lanes, cells) = (dims.rows(), dims.lanes(), dims.cells());
-        let (vw, vr) = (&panels.writes, panels.reads.as_ref());
-        let period = cfg.schedule.period();
-        let l = match period {
-            None => 1,
-            Some(_) => lcm(
-                balance.row.epoch_period(rows).expect("closed form requires periodic rows"),
-                balance.col.epoch_period(lanes).expect("closed form requires periodic lanes"),
-            ),
-        };
-        let mut acc_w = vec![0u64; cells];
-        let mut acc_r = vr.as_ref().map(|_| vec![0u64; cells]);
-        let mut prefix_w = vec![acc_w.clone()];
-        let mut prefix_r = acc_r.clone().map(|z| vec![z]);
-        for e in 0..l {
-            // Epoch 0 is the identity for every strategy, which covers the
-            // never() schedule (where `Ra` is closed-form too).
-            let rt = match period {
-                None => (0..rows).collect(),
-                Some(_) => balance.row.table_at_epoch(rows, e).expect("periodic rows"),
-            };
-            let lp = match period {
-                None => (0..lanes).collect(),
-                Some(_) => balance.col.table_at_epoch(lanes, e).expect("periodic lanes"),
-            };
-            for (class, laneset) in trace.classes().iter().enumerate() {
-                let phys: Vec<usize> = laneset.iter().map(|l| lp[l]).collect();
-                for (row, &v) in vw[class].iter().enumerate() {
-                    if v == 0 {
-                        continue;
-                    }
-                    let base = rt[row] * lanes;
-                    for &lane in &phys {
-                        acc_w[base + lane] += v;
-                    }
-                }
-                if let (Some(vr), Some(acc_r)) = (&vr, &mut acc_r) {
-                    for (row, &v) in vr[class].iter().enumerate() {
-                        if v == 0 {
-                            continue;
-                        }
-                        let base = rt[row] * lanes;
-                        for &lane in &phys {
-                            acc_r[base + lane] += v;
-                        }
-                    }
-                }
-            }
-            prefix_w.push(acc_w.clone());
-            if let (Some(prefix_r), Some(acc_r)) = (&mut prefix_r, &acc_r) {
-                prefix_r.push(acc_r.clone());
-            }
-        }
-        StaticClosedForm { dims, period, l, prefix_w, prefix_r }
-    }
-
-    /// Evaluates one plane (writes or reads) at iteration count `n` into a
-    /// per-cell value via the prefix-panel identity.
-    fn eval_plane(&self, prefix: &[Vec<u64>], n: u64, mut emit: impl FnMut(usize, u64)) {
-        match self.period {
-            None => {
-                for (i, &q) in prefix[1].iter().enumerate() {
-                    let v = n * q;
-                    if v > 0 {
-                        emit(i, v);
-                    }
-                }
-            }
-            Some(p) => {
-                let (full, rem) = (n / p, n % p);
-                let (q, r) = (full / self.l, (full % self.l) as usize);
-                let whole = &prefix[self.l as usize];
-                let head = &prefix[r];
-                let next = &prefix[r + 1];
-                for i in 0..whole.len() {
-                    let v = p * (q * whole[i] + head[i]) + rem * (next[i] - head[i]);
-                    if v > 0 {
-                        emit(i, v);
-                    }
-                }
-            }
+        let rows = Phases::new(balance.row, dims.rows(), cfg.schedule);
+        let lanes = LanePhases::new(balance.col, dims.lanes(), cfg.schedule);
+        StaticClosedForm {
+            dims,
+            period: cfg.schedule.period(),
+            l: lcm(rows.period(), lanes.period()),
+            panels,
+            classes: trace.classes().to_vec(),
+            rows,
+            lanes,
+            keys: LaneKeys::default(),
+            sums: PhaseSums::default(),
+            terms: RowVecs::new(dims.rows(), cfg.track_reads),
+            row: vec![0; dims.rows()],
         }
     }
 
-    /// Blocked variant of [`StaticClosedForm::eval_plane`]: writes the
-    /// whole plane into `out` in L1-sized chunks of exact-size slices —
-    /// no per-cell emit dispatch, no bounds checks in the inner loop, and
-    /// the same arithmetic bit for bit.
-    fn eval_plane_into(&self, prefix: &[Vec<u64>], n: u64, out: &mut [u64]) {
-        match self.period {
-            None => {
-                for (o, &q) in out.iter_mut().zip(prefix[1].iter()) {
-                    *o = n * q;
-                }
+    fn query(&mut self, n: u64) -> WearMap {
+        let mut planes = Planes::new(self.dims, self.panels.reads.is_some());
+        let (full, rem) = split_epochs(n, self.period);
+        let (q, r) = (full / self.l, full % self.l);
+        let reached = if q > 0 { self.l } else { r + u64::from(rem > 0) };
+        if self.rows.period().min(reached) < self.lanes.period().min(reached) {
+            let mut vecs = LaneVecs::new(self.dims.lanes(), self.rows.period());
+            for (j, w) in cycle_weights(n, self.period, self.l) {
+                vecs.add(j, &self.classes, self.lanes.tables.table(j), w);
             }
-            Some(p) => {
-                let (full, rem) = (n / p, n % p);
-                let (q, r) = (full / self.l, (full % self.l) as usize);
-                let whole = &prefix[self.l as usize];
-                let head = &prefix[r];
-                let next = &prefix[r + 1];
-                let mut start = 0;
-                while start < out.len() {
-                    let end = (start + FOLD_CHUNK).min(out.len());
-                    let o = &mut out[start..end];
-                    let w = &whole[start..end];
-                    let h = &head[start..end];
-                    let x = &next[start..end];
-                    for i in 0..o.len() {
-                        o[i] = p * (q * w[i] + h[i]) + rem * (x[i] - h[i]);
-                    }
-                    start = end;
-                }
-            }
+            vecs.drain_into(&self.panels, &mut self.rows, &mut planes);
+            return planes.into_wear();
         }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        let entries = self.prefix_w.iter().map(Vec::len).sum::<usize>()
-            + self.prefix_r.as_ref().map_or(0, |p| p.iter().map(Vec::len).sum::<usize>());
-        entries * std::mem::size_of::<u64>()
-    }
-
-    fn query(&self, n: u64, blocked: bool, s: &mut QueryScratch) -> WearMap {
-        let mut wear = WearMap::new(self.dims);
-        if blocked {
-            zeroed_plane(&mut s.plane_w, self.dims.cells());
-            self.eval_plane_into(&self.prefix_w, n, &mut s.plane_w);
-            wear.accumulate_flat_writes(&s.plane_w);
-            if let Some(prefix_r) = &self.prefix_r {
-                zeroed_plane(&mut s.plane_r, self.dims.cells());
-                self.eval_plane_into(prefix_r, n, &mut s.plane_r);
-                wear.accumulate_flat_reads(&s.plane_r);
-            }
-            return wear;
+        while self.sums.phases < reached {
+            let j = self.sums.phases;
+            let keys = self.lanes.keys(j, &self.classes, &mut self.keys);
+            self.terms.add_sw(&self.panels, self.rows.table(j), keys, 1);
+            self.sums.push(keys, &mut self.terms);
         }
+        let p = self.period.unwrap_or(0);
         let lanes = self.dims.lanes();
-        self.eval_plane(&self.prefix_w, n, |i, v| wear.add_write_at(i / lanes, i % lanes, v));
-        if let Some(prefix_r) = &self.prefix_r {
-            self.eval_plane(prefix_r, n, |i, v| wear.add_read_at(i / lanes, i % lanes, v));
+        for key in 0..self.keys.len() {
+            let plane_sums = std::iter::once((&mut planes.writes, false))
+                .chain(planes.reads.as_mut().map(|plane| (plane, true)));
+            for (plane, reads) in plane_sums {
+                let sum = |bound| self.sums.before(key, bound).and_then(|s| s.plane(reads));
+                let row = &mut self.row;
+                row.fill(0);
+                if let (1.., Some(whole)) = (q, sum(self.l)) {
+                    axpy(row, p * q, whole);
+                }
+                let head = sum(r);
+                if let Some(head) = head {
+                    axpy(row, p, head);
+                }
+                if let (1.., Some(next)) = (rem, sum(r + 1)) {
+                    // Phase r's own term, S(<r+1) − S(<r) (elementwise ≥ 0).
+                    axpy(row, rem, next);
+                    if let Some(head) = head {
+                        for (cell, &h) in row.iter_mut().zip(head) {
+                            *cell -= rem * h;
+                        }
+                    }
+                }
+                add_outer(plane, lanes, row, &self.keys.runs[key]);
+            }
         }
-        wear
+        planes.into_wear()
     }
 }
 
@@ -504,321 +791,181 @@ impl StaticClosedForm {
 /// permutation on `j mod L_col`; the arrangement entering epoch `j` is
 /// `D_j = E₀ᵖ ∘ … ∘ E_{j−1}ᵖ` (with `A₀` the identity, slot space *is*
 /// physical-row space). Over a super-cycle of `L = lcm` epochs the
-/// arrangement advances by the fixed permutation `F = D_L`, so `k` full
-/// super-cycles fold the super-cycle deposit panel over `F`'s cycles, `r`
-/// remainder epochs add a stored prefix panel shifted by `Fᵏ`, and a
-/// partial epoch folds its kernel over `E` and deposits at `Fᵏ[D_r[s]]`.
+/// arrangement advances by the fixed permutation `F = D_L`, which acts
+/// on rows only. Each key's row vector is then `Fᵏ`-folded whole
+/// super-cycles plus, shifted by `Fᵏ`, the prefix sum of the `r`
+/// remainder epochs and the partial epoch's fold. Kernels, arrangements
+/// and prefix sums are built only as far as queries reach.
 #[derive(Debug)]
 struct HwClosedForm {
     dims: ArrayDims,
     period: Option<u64>,
     l: u64,
-    lr: u64,
-    lc: u64,
-    /// One compiled kernel per software row-table phase (shared through
-    /// the artifact store — sibling configs with the same row strategy
-    /// reuse the identical kernels).
+    classes: Vec<LaneSet>,
+    fp: Fingerprint,
+    rows: Phases,
+    lanes: LanePhases,
+    keys: LaneKeys,
+    /// One compiled kernel per software row-table phase reached so far
+    /// (shared through the artifact store — sibling configs with the same
+    /// row strategy reuse the identical kernels).
     kernels: Vec<Arc<WearKernel>>,
-    /// `[lane phase][class]` → physical lanes.
-    phys_lanes: Vec<Vec<Vec<usize>>>,
-    /// Arrangement entering epoch `j` of a super-cycle, `j = 0..=L`
-    /// (`d[L]` is `F`).
+    /// `Eᵖ` of each kernel: how one whole epoch advances the arrangement.
+    epoch_perms: Vec<Vec<usize>>,
+    /// Arrangement entering epoch `j` of a super-cycle, `j` up to the
+    /// furthest epoch reached (`d[L]` is `F`).
     d: Vec<Vec<usize>>,
-    /// Cycle folder over `F`.
-    f: PermFolder,
-    /// Cumulative deposits of epochs `0..j` of one super-cycle (flat
-    /// row-major cells), `j = 0..=L`.
-    scp_w: Vec<Vec<u64>>,
-    scp_r: Option<Vec<Vec<u64>>>,
+    /// Prefix sums of whole epochs' terms.
+    sums: PhaseSums,
+    /// `F`, once a query spans a whole super-cycle.
+    f: Option<PermFolder>,
+    /// Staged terms: one whole epoch's, or the query's partial epoch.
+    terms: RowVecs,
+    folded: Vec<u64>,
+    row: Vec<u64>,
 }
 
 impl HwClosedForm {
-    /// The row tables whose kernels the build needs, one per phase (the
-    /// identity table under a `never()` schedule).
-    fn phase_tables(
-        balance: BalanceConfig,
-        schedule: RemapSchedule,
-        sw_rows: usize,
-    ) -> Vec<Vec<usize>> {
-        match schedule.period() {
-            None => vec![(0..sw_rows).collect()],
-            Some(_) => {
-                let lr =
-                    balance.row.epoch_period(sw_rows).expect("closed form requires periodic rows");
-                (0..lr)
-                    .map(|phase| balance.row.table_at_epoch(sw_rows, phase).expect("periodic rows"))
-                    .collect()
-            }
-        }
-    }
-
-    fn build(
-        trace: &Trace,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        kernels: Vec<Arc<WearKernel>>,
-    ) -> Self {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, fp: Fingerprint) -> Self {
         let dims = trace.dims();
-        let (slots, lanes, cells) = (dims.rows(), dims.lanes(), dims.cells());
-        let sw_rows = slots - 1;
-        let track = cfg.track_reads;
-        let identity_lanes =
-            || trace.classes().iter().map(|c| c.iter().collect()).collect::<Vec<Vec<usize>>>();
-        let Some(p) = cfg.schedule.period() else {
-            // Single endless epoch: one kernel over the identity table,
-            // queries fold it over its own end permutation.
-            return HwClosedForm {
-                dims,
-                period: None,
-                l: 1,
-                lr: 1,
-                lc: 1,
-                kernels,
-                phys_lanes: vec![identity_lanes()],
-                d: Vec::new(),
-                f: PermFolder::new((0..slots).collect()),
-                scp_w: Vec::new(),
-                scp_r: None,
-            };
-        };
-        let lr = balance.row.epoch_period(sw_rows).expect("closed form requires periodic rows");
-        let lc = balance.col.epoch_period(lanes).expect("closed form requires periodic lanes");
-        let l = lcm(lr, lc);
-        debug_assert_eq!(kernels.len(), lr as usize, "one kernel per row phase");
-        // E_phase^p: how one whole epoch at this row phase advances the
-        // arrangement.
-        let epoch_perms: Vec<Vec<usize>> = kernels.iter().map(|k| k.folder().power(p)).collect();
-        let phys_lanes: Vec<Vec<Vec<usize>>> = (0..lc)
-            .map(|phase| {
-                let perm = balance.col.table_at_epoch(lanes, phase).expect("periodic lanes");
-                trace.classes().iter().map(|c| c.iter().map(|l| perm[l]).collect()).collect()
-            })
-            .collect();
-
-        let mut d: Vec<Vec<usize>> = vec![(0..slots).collect()];
-        let mut acc_w = vec![0u64; cells];
-        let mut acc_r = track.then(|| vec![0u64; cells]);
-        let mut scp_w = vec![acc_w.clone()];
-        let mut scp_r = acc_r.clone().map(|z| vec![z]);
-        let mut folded = vec![0u64; slots];
-        for j in 0..l {
-            let kernel = &kernels[(j % lr) as usize];
-            let dj = &d[j as usize];
-            let lanes_of = &phys_lanes[(j % lc) as usize];
-            for (class, class_lanes) in lanes_of.iter().enumerate() {
-                kernel.fold_epoch_into(p, kernel.slot_writes(class), &mut folded);
-                for (s, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    let base = dj[s] * lanes;
-                    for &lane in class_lanes {
-                        acc_w[base + lane] += delta;
-                    }
-                }
-                if let (Some(acc_r), Some(reads)) = (&mut acc_r, kernel.slot_reads(class)) {
-                    kernel.fold_epoch_into(p, reads, &mut folded);
-                    for (s, &delta) in folded.iter().enumerate() {
-                        if delta == 0 {
-                            continue;
-                        }
-                        let base = dj[s] * lanes;
-                        for &lane in class_lanes {
-                            acc_r[base + lane] += delta;
-                        }
-                    }
-                }
-            }
-            let ep = &epoch_perms[(j % lr) as usize];
-            let next: Vec<usize> = (0..slots).map(|s| dj[ep[s]]).collect();
-            d.push(next);
-            scp_w.push(acc_w.clone());
-            if let (Some(scp_r), Some(acc_r)) = (&mut scp_r, &acc_r) {
-                scp_r.push(acc_r.clone());
-            }
+        let rows = Phases::new(balance.row, dims.rows() - 1, cfg.schedule);
+        let lanes = LanePhases::new(balance.col, dims.lanes(), cfg.schedule);
+        HwClosedForm {
+            dims,
+            period: cfg.schedule.period(),
+            l: lcm(rows.period(), lanes.period()),
+            classes: trace.classes().to_vec(),
+            fp,
+            rows,
+            lanes,
+            keys: LaneKeys::default(),
+            kernels: Vec::new(),
+            epoch_perms: Vec::new(),
+            d: vec![(0..dims.rows()).collect()],
+            sums: PhaseSums::default(),
+            f: None,
+            terms: RowVecs::new(dims.rows(), cfg.track_reads),
+            folded: Vec::new(),
+            row: vec![0; dims.rows()],
         }
-        let f = PermFolder::new(d[l as usize].clone());
-        HwClosedForm { dims, period: Some(p), l, lr, lc, kernels, phys_lanes, d, f, scp_w, scp_r }
     }
 
-    fn approx_bytes(&self) -> usize {
-        let panels = self.scp_w.iter().map(Vec::len).sum::<usize>()
-            + self.scp_r.as_ref().map_or(0, |p| p.iter().map(Vec::len).sum::<usize>());
-        let d = self.d.iter().map(Vec::len).sum::<usize>();
-        let lanes = self
-            .phys_lanes
-            .iter()
-            .flat_map(|per_phase| per_phase.iter())
-            .map(Vec::len)
-            .sum::<usize>();
-        // Kernels are shared store entries in their own right; count only
-        // the Arc handles here so they are not billed twice.
-        (panels + d + lanes) * std::mem::size_of::<u64>()
-            + self.dims.rows() * 2 * std::mem::size_of::<usize>()
+    /// Compiles the kernels of the first `epochs` cycle epochs (`≤ L`) and
+    /// the arrangements entering each of them and the next.
+    fn reach(&mut self, epochs: u64, trace: &Trace, cfg: SimConfig, ctx: &mut StoreCtx<'_>) {
+        let wanted = epochs.min(self.rows.period()) as usize;
+        while self.kernels.len() < wanted {
+            let table = self.rows.table(self.kernels.len() as u64);
+            let kernel = fetch_kernel(trace, table, cfg, self.fp, ctx);
+            if let Some(p) = self.period {
+                self.epoch_perms.push(kernel.folder().power(p));
+            }
+            self.kernels.push(kernel);
+        }
+        if self.period.is_none() {
+            // One endless epoch: the arrangement never advances.
+            return;
+        }
+        while self.d.len() as u64 <= epochs {
+            let prev = self.d.len() - 1;
+            let ep = &self.epoch_perms[prev % self.epoch_perms.len()];
+            let dj = &self.d[prev];
+            let next = ep.iter().map(|&s| dj[s]).collect();
+            self.d.push(next);
+        }
     }
 
-    fn query(&self, n: u64, blocked: bool, s: &mut QueryScratch) -> WearMap {
-        let mut wear = WearMap::new(self.dims);
-        let lanes = self.dims.lanes();
-        let slots = self.dims.rows();
-        zeroed_plane(&mut s.folded, slots);
-        let folded = &mut s.folded;
-        let Some(p) = self.period else {
-            let kernel = &self.kernels[0];
-            for class in 0..kernel.classes() {
-                kernel.fold_epoch_into(n, kernel.slot_writes(class), folded);
-                for (slot, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    for &lane in &self.phys_lanes[0][class] {
-                        wear.add_write_at(slot, lane, delta);
-                    }
-                }
-                if let Some(reads) = kernel.slot_reads(class) {
-                    kernel.fold_epoch_into(n, reads, folded);
-                    for (slot, &delta) in folded.iter().enumerate() {
-                        if delta == 0 {
-                            continue;
-                        }
-                        for &lane in &self.phys_lanes[0][class] {
-                            wear.add_read_at(slot, lane, delta);
-                        }
-                    }
-                }
-            }
-            return wear;
-        };
-        let (full, rem) = (n / p, n % p);
-        let (k, r) = (full / self.l, (full % self.l) as usize);
-        let cells = self.dims.cells();
-        let track = self.scp_r.is_some();
-        zeroed_plane(&mut s.plane_w, cells);
-        if track {
-            zeroed_plane(&mut s.plane_r, cells);
-        }
-        let (acc_w, acc_r) = (&mut s.plane_w, &mut s.plane_r);
+    /// Stages epoch `j`'s terms for `span` iterations.
+    fn stage_epoch(&mut self, j: u64, span: u64) {
+        let kernel = &self.kernels[(j % self.rows.period()) as usize];
+        let keys = self.lanes.keys(j, &self.classes, &mut self.keys);
+        self.terms.add_hw(kernel, &self.d[j as usize], keys, span, &mut self.folded);
+    }
 
-        // (1) k full super-cycles: the super-cycle panel folded over F.
-        // Blocked mode folds whole lane *rows* at a time (contiguous
-        // row-major vector adds via the cycle algebra); the legacy mode
-        // gathers one strided lane column per pass.
-        if k > 0 {
-            if blocked {
-                self.f.fold_rows_into(k, &self.scp_w[self.l as usize], lanes, acc_w, &mut s.rows);
-                if let Some(scp_r) = &self.scp_r {
-                    self.f.fold_rows_into(k, &scp_r[self.l as usize], lanes, acc_r, &mut s.rows);
-                }
-            } else {
-                zeroed_plane(&mut s.col_in, slots);
-                zeroed_plane(&mut s.col_out, slots);
-                let (col_in, col_out) = (&mut s.col_in, &mut s.col_out);
-                let mut fold_plane = |panel: &[u64], acc: &mut [u64]| {
-                    for lane in 0..lanes {
-                        for slot in 0..slots {
-                            col_in[slot] = panel[slot * lanes + lane];
-                        }
-                        self.f.fold_into(k, col_in, col_out);
-                        for slot in 0..slots {
-                            acc[slot * lanes + lane] += col_out[slot];
-                        }
-                    }
-                };
-                fold_plane(&self.scp_w[self.l as usize], acc_w);
-                if let Some(scp_r) = &self.scp_r {
-                    fold_plane(&scp_r[self.l as usize], acc_r);
-                }
-            }
+    fn query(&mut self, n: u64, trace: &Trace, cfg: SimConfig, ctx: &mut StoreCtx<'_>) -> WearMap {
+        let (full, rem) = split_epochs(n, self.period);
+        let (k, r) = (full / self.l, full % self.l);
+        let whole = if k > 0 { self.l } else { r };
+        self.reach(whole.max(r + u64::from(rem > 0)), trace, cfg, ctx);
+        while self.sums.phases < whole {
+            let p = self.period.expect("whole epochs imply a finite period");
+            let j = self.sums.phases;
+            self.stage_epoch(j, p);
+            let keys = self.lanes.keys(j, &self.classes, &mut self.keys);
+            self.sums.push(keys, &mut self.terms);
         }
-
-        // (2) r whole remainder epochs: their stored prefix panel, shifted
-        // through F^k one contiguous lane row at a time.
-        let fk = self.f.power(k);
-        if r > 0 {
-            let shift_plane = |panel: &[u64], acc: &mut [u64]| {
-                for (slot, &fs) in fk.iter().enumerate() {
-                    let src = &panel[slot * lanes..(slot + 1) * lanes];
-                    let dst = &mut acc[fs * lanes..(fs + 1) * lanes];
-                    for (d, &v) in dst.iter_mut().zip(src.iter()) {
-                        *d += v;
-                    }
-                }
-            };
-            shift_plane(&self.scp_w[r], acc_w);
-            if let Some(scp_r) = &self.scp_r {
-                shift_plane(&scp_r[r], acc_r);
-            }
+        if k > 0 && self.f.is_none() {
+            self.f = Some(PermFolder::new(self.d[self.l as usize].clone()));
         }
-
-        // (3) partial final epoch: fold its kernel over E for `rem`
-        // iterations and deposit at F^k[D_r[s]].
         if rem > 0 {
-            let kernel = &self.kernels[(full % self.lr) as usize];
-            let dr = &self.d[r];
-            let lanes_of = &self.phys_lanes[(full % self.lc) as usize];
-            for (class, class_lanes) in lanes_of.iter().enumerate() {
-                kernel.fold_epoch_into(rem, kernel.slot_writes(class), folded);
-                for (slot, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    let base = fk[dr[slot]] * lanes;
-                    for &lane in class_lanes {
-                        acc_w[base + lane] += delta;
-                    }
+            self.stage_epoch(r, rem);
+        }
+        self.terms.fit(self.keys.len());
+
+        let fk = self.f.as_ref().filter(|_| k > 0).map(|f| f.power(k));
+        let mut planes = Planes::new(self.dims, self.terms.reads.is_some());
+        let lanes = self.dims.lanes();
+        for key in 0..self.keys.len() {
+            let plane_terms =
+                std::iter::once((&mut planes.writes, &mut self.terms.writes[key], false)).chain(
+                    planes
+                        .reads
+                        .as_mut()
+                        .zip(self.terms.reads.as_mut())
+                        .map(|(plane, terms)| (plane, &mut terms[key], true)),
+                );
+            for (plane, partial, reads) in plane_terms {
+                let sum = |bound| self.sums.before(key, bound).and_then(|s| s.plane(reads));
+                let row = &mut self.row;
+                match (&self.f, sum(self.l)) {
+                    (Some(f), Some(cycle)) if k > 0 => f.fold_into(k, cycle, row),
+                    _ => row.fill(0),
                 }
-                if let Some(reads) = kernel.slot_reads(class) {
-                    if track {
-                        kernel.fold_epoch_into(rem, reads, folded);
-                        for (slot, &delta) in folded.iter().enumerate() {
-                            if delta == 0 {
-                                continue;
-                            }
-                            let base = fk[dr[slot]] * lanes;
-                            for &lane in class_lanes {
-                                acc_r[base + lane] += delta;
+                // The tail (remainder epochs, then the partial one) is
+                // placed through Fᵏ: its row x lands on physical row Fᵏ[x].
+                for tail in sum(r).into_iter().chain(Some(&partial[..])) {
+                    match &fk {
+                        Some(fk) => {
+                            for (&to, &t) in fk.iter().zip(tail) {
+                                row[to] += t;
                             }
                         }
+                        None => axpy(row, 1, tail),
                     }
                 }
+                *partial = Vec::new();
+                add_outer(plane, lanes, row, &self.keys.runs[key]);
             }
         }
-
-        if blocked {
-            wear.accumulate_flat_writes(acc_w);
-            if track {
-                wear.accumulate_flat_reads(acc_r);
-            }
-            return wear;
-        }
-        for (i, &v) in acc_w.iter().enumerate() {
-            if v > 0 {
-                wear.add_write_at(i / lanes, i % lanes, v);
-            }
-        }
-        if track {
-            for (i, &v) in acc_r.iter().enumerate() {
-                if v > 0 {
-                    wear.add_read_at(i / lanes, i % lanes, v);
-                }
-            }
-        }
-        wear
+        planes.into_wear()
     }
 }
 
+/// How [`LazySw`] groups the epochs it walks.
+#[derive(Debug)]
+enum LazyGroup {
+    /// `Ra` rows: row vectors per lane key. Periodic lanes reuse one key
+    /// list per phase across epochs; `Ra` lanes (`lanes: None`) intern
+    /// fresh keys and drain them into the planes every epoch.
+    ByLanes { lanes: Option<LanePhases>, keys: LaneKeys, vecs: RowVecs },
+    /// `Ra` lanes under periodic rows: lane vectors per row phase.
+    ByRows { rows: Phases, vecs: LaneVecs },
+}
+
 /// Lazy enumerator for software-only configs with `Ra` on an axis: walks
-/// the epoch sequence with the exact seeded mappers, scattering the
-/// precomputed logical panels — one O(cells) scatter per epoch, zero trace
-/// walks. Monotone queries continue from the cached cumulative state.
+/// the epoch sequence with the exact seeded mappers, adding each epoch's
+/// terms along the axis that repeats ([`LazyGroup`]) — zero trace walks,
+/// and one cell scatter per distinct table rather than per epoch.
+/// Monotone queries continue from the cached state.
 #[derive(Debug)]
 struct LazySw {
-    dims: ArrayDims,
     panels: Arc<LogicalPanels>,
+    classes: Vec<LaneSet>,
     map: CombinedMap,
-    wear: WearMap,
     done: u64,
-    phys_scratch: LaneSet,
+    /// Wear of every term drained so far.
+    planes: Planes,
+    group: LazyGroup,
 }
 
 impl LazySw {
@@ -830,44 +977,60 @@ impl LazySw {
         ctx: &mut StoreCtx<'_>,
     ) -> Self {
         let dims = trace.dims();
+        let group = if balance.row == Strategy::Random {
+            LazyGroup::ByLanes {
+                lanes: (balance.col != Strategy::Random)
+                    .then(|| LanePhases::new(balance.col, dims.lanes(), cfg.schedule)),
+                keys: LaneKeys::default(),
+                vecs: RowVecs::new(dims.rows(), cfg.track_reads),
+            }
+        } else {
+            let rows = Phases::new(balance.row, dims.rows(), cfg.schedule);
+            let vecs = LaneVecs::new(dims.lanes(), rows.period());
+            LazyGroup::ByRows { rows, vecs }
+        };
         LazySw {
-            dims,
             panels: fetch_panels(trace, cfg, fp, ctx),
+            classes: trace.classes().to_vec(),
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
-            wear: WearMap::new(dims),
             done: 0,
-            phys_scratch: LaneSet::empty(dims.lanes()),
+            planes: Planes::new(dims, cfg.track_reads),
+            group,
         }
     }
 
-    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+    fn query(&mut self, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
         if n < self.done {
             // Deterministic restart: re-derive the epoch sequence from the
-            // seed (backwards queries are rare — sweeps ascend).
-            self.map = CombinedMap::new(balance, self.dims.rows(), self.dims.lanes(), cfg.seed);
-            self.wear = WearMap::new(self.dims);
+            // seed (backwards queries are rare — sweeps ascend). Pending
+            // terms were drained by the previous query.
+            let dims = self.planes.dims;
+            self.map = CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed);
+            self.planes = Planes::new(dims, cfg.track_reads);
             self.done = 0;
         }
+        let panels = &*self.panels;
         while self.done < n {
             let span = match cfg.schedule.period() {
                 Some(p) => (p - self.done % p).min(n - self.done),
                 None => n - self.done,
             };
-            let rows = self.map.row_table();
-            let perm = self.map.lane_permutation();
-            for (class, laneset) in trace.classes().iter().enumerate() {
-                laneset.permuted_into(perm, &mut self.phys_scratch);
-                for (row, &v) in self.panels.writes[class].iter().enumerate() {
-                    if v > 0 {
-                        self.wear.add_writes(rows[row], &self.phys_scratch, v * span);
-                    }
+            let epoch = self.map.epoch();
+            match &mut self.group {
+                LazyGroup::ByLanes { lanes: Some(lanes), keys, vecs } => {
+                    let ids = lanes.keys(epoch, &self.classes, keys);
+                    vecs.add_sw(panels, self.map.row_table(), ids, span);
                 }
-                if let Some(vr) = &self.panels.reads {
-                    for (row, &v) in vr[class].iter().enumerate() {
-                        if v > 0 {
-                            self.wear.add_reads(rows[row], &self.phys_scratch, v * span);
-                        }
-                    }
+                LazyGroup::ByLanes { lanes: None, keys, vecs } => {
+                    let perm = self.map.lane_permutation();
+                    let ids: Vec<usize> =
+                        self.classes.iter().map(|c| keys.intern(c.permuted(perm))).collect();
+                    vecs.add_sw(panels, self.map.row_table(), &ids, span);
+                    vecs.drain_into(keys, &mut self.planes);
+                    keys.clear();
+                }
+                LazyGroup::ByRows { vecs, .. } => {
+                    vecs.add(epoch, &self.classes, self.map.lane_permutation(), span);
                 }
             }
             self.done += span;
@@ -877,7 +1040,11 @@ impl LazySw {
                 }
             }
         }
-        self.wear.clone()
+        match &mut self.group {
+            LazyGroup::ByLanes { keys, vecs, .. } => vecs.drain_into(keys, &mut self.planes),
+            LazyGroup::ByRows { rows, vecs } => vecs.drain_into(panels, rows, &mut self.planes),
+        }
+        self.planes.clone().into_wear()
     }
 }
 
@@ -955,62 +1122,21 @@ impl LazyHw {
 
 #[derive(Debug)]
 enum Backend {
-    Static(Arc<StaticClosedForm>),
-    HwClosed(Arc<HwClosedForm>),
+    Static(Box<StaticClosedForm>),
+    HwClosed(Box<HwClosedForm>),
     LazySw(Box<LazySw>),
     LazyHw(Box<LazyHw>),
     Fallback,
-}
-
-/// Fetches (or builds) the software-only closed form through the store.
-fn build_static(
-    trace: &Trace,
-    balance: BalanceConfig,
-    cfg: SimConfig,
-    fp: Fingerprint,
-    ctx: &mut StoreCtx<'_>,
-) -> Arc<StaticClosedForm> {
-    let panels = fetch_panels(trace, cfg, fp, ctx);
-    let key = artifacts::closed_form_key(1, fp, balance, cfg.schedule, cfg.arch, cfg.track_reads);
-    ctx.get_or_build(ArtifactKind::ClosedForm, key, || {
-        let form = StaticClosedForm::build(trace, &panels, balance, cfg);
-        let bytes = form.approx_bytes();
-        (form, bytes)
-    })
-}
-
-/// Fetches (or builds) the +Hw closed form. Its per-phase kernels are
-/// fetched first as their own store entries, so a sibling config that
-/// shares the row strategy (or the lazy path of the same config) reuses
-/// them even if the whole closed form misses.
-fn build_hw_closed(
-    trace: &Trace,
-    balance: BalanceConfig,
-    cfg: SimConfig,
-    fp: Fingerprint,
-    ctx: &mut StoreCtx<'_>,
-) -> Arc<HwClosedForm> {
-    let sw_rows = trace.dims().rows() - 1;
-    let kernels: Vec<Arc<WearKernel>> = HwClosedForm::phase_tables(balance, cfg.schedule, sw_rows)
-        .iter()
-        .map(|table| fetch_kernel(trace, table, cfg, fp, ctx))
-        .collect();
-    let key = artifacts::closed_form_key(2, fp, balance, cfg.schedule, cfg.arch, cfg.track_reads);
-    ctx.get_or_build(ArtifactKind::ClosedForm, key, || {
-        let form = HwClosedForm::build(trace, balance, cfg, kernels);
-        let bytes = form.approx_bytes();
-        (form, bytes)
-    })
 }
 
 /// Replay-free per-cell wear as a function of the iteration count, for one
 /// (workload, configuration) pair — bit-identical to running
 /// [`EnduranceSimulator`] for the same number of iterations.
 ///
-/// Construction pays the one-time symbolic cost (trace walks bounded by
-/// the number of distinct software row tables); every
-/// [`AnalyticWearEngine::wear_at`] afterwards is O(cells) on the
-/// closed-form path. See the [module docs](self) for the path criteria.
+/// The symbolic cost (trace walks, at most one per distinct software row
+/// table) is paid once, as queries first reach it; on the closed-form path
+/// every [`AnalyticWearEngine::wear_at`] then costs the same at any
+/// iteration count. See the [module docs](self) for the path criteria.
 #[derive(Debug)]
 pub struct AnalyticWearEngine<'w> {
     workload: &'w Workload,
@@ -1020,7 +1146,6 @@ pub struct AnalyticWearEngine<'w> {
     backend: Backend,
     store: Option<&'w ArtifactStore>,
     usage: ArtifactUse,
-    scratch: QueryScratch,
 }
 
 impl<'w> AnalyticWearEngine<'w> {
@@ -1070,7 +1195,7 @@ impl<'w> AnalyticWearEngine<'w> {
             trace.rows_used(),
         );
         let counts = trace.counts(cfg.arch);
-        let choice = classify_inner(balance, cfg.schedule, dims, cfg.track_reads);
+        let choice = classify_inner(balance, cfg.schedule);
         // The trace walk for the fingerprint is only worth paying when a
         // store can reuse it; detached engines and the fallback path (which
         // delegates to the simulator and never issues panel lookups) skip
@@ -1081,9 +1206,12 @@ impl<'w> AnalyticWearEngine<'w> {
         };
         let mut ctx = StoreCtx::new(store);
         let backend = match choice {
-            PathChoice::Static => Backend::Static(build_static(trace, balance, cfg, fp, &mut ctx)),
+            PathChoice::Static => {
+                let panels = fetch_panels(trace, cfg, fp, &mut ctx);
+                Backend::Static(Box::new(StaticClosedForm::new(trace, panels, balance, cfg)))
+            }
             PathChoice::HwClosed => {
-                Backend::HwClosed(build_hw_closed(trace, balance, cfg, fp, &mut ctx))
+                Backend::HwClosed(Box::new(HwClosedForm::new(trace, balance, cfg, fp)))
             }
             PathChoice::LazySw => {
                 Backend::LazySw(Box::new(LazySw::new(trace, balance, cfg, fp, &mut ctx)))
@@ -1092,16 +1220,7 @@ impl<'w> AnalyticWearEngine<'w> {
             PathChoice::Fallback => Backend::Fallback,
         };
         let usage = ctx.tally();
-        AnalyticWearEngine {
-            workload,
-            balance,
-            cfg,
-            counts,
-            backend,
-            store,
-            usage,
-            scratch: QueryScratch::default(),
-        }
+        AnalyticWearEngine { workload, balance, cfg, counts, backend, store, usage }
     }
 
     /// How many artifact-store lookups this engine has answered from cache
@@ -1178,19 +1297,17 @@ impl<'w> AnalyticWearEngine<'w> {
             }
             backend => {
                 let trace = self.workload.trace();
-                let blocked = self.cfg.blocked_folds;
+                let mut ctx = StoreCtx::new(self.store);
                 let wear = match backend {
-                    Backend::Static(b) => b.query(iterations, blocked, &mut self.scratch),
-                    Backend::HwClosed(b) => b.query(iterations, blocked, &mut self.scratch),
-                    Backend::LazySw(b) => b.query(trace, self.balance, self.cfg, iterations),
+                    Backend::Static(b) => b.query(iterations),
+                    Backend::HwClosed(b) => b.query(iterations, trace, self.cfg, &mut ctx),
+                    Backend::LazySw(b) => b.query(self.balance, self.cfg, iterations),
                     Backend::LazyHw(b) => {
-                        let mut ctx = StoreCtx::new(self.store);
-                        let wear = b.query(trace, self.balance, self.cfg, iterations, &mut ctx);
-                        self.usage.absorb(ctx.tally());
-                        wear
+                        b.query(trace, self.balance, self.cfg, iterations, &mut ctx)
                     }
                     Backend::Fallback => unreachable!("handled above"),
                 };
+                self.usage.absorb(ctx.tally());
                 // Same conservation cross-check as the simulator: the
                 // closed-form algebra and the trace's static counts tally
                 // the same traffic independently.

@@ -3,11 +3,10 @@
 //! The paper's headline artifacts (Figs. 14–17, Table 3) are *matrices* of
 //! balancing configurations over a handful of workload traces. The expensive
 //! parts of evaluating one matrix cell — walking the symbolic trace into
-//! logical panels, building a closed-form prefix table, compiling a +Hw wear
-//! kernel — depend on far fewer inputs than the full `(workload, config,
-//! schedule, seed)` tuple, so sibling cells recompute byte-identical
-//! intermediates over and over. This module is the shared cache that removes
-//! that redundancy.
+//! logical panels, compiling a +Hw wear kernel — depend on far fewer inputs
+//! than the full `(workload, config, schedule, seed)` tuple, so sibling
+//! cells recompute byte-identical intermediates over and over. This module
+//! is the shared cache that removes that redundancy.
 //!
 //! # Keying discipline
 //!
@@ -19,11 +18,7 @@
 //! * compiled kernels — the trace fingerprint plus the *contents* of the
 //!   software row table the kernel was specialized against (so a Ra table
 //!   drawn from one seed never collides with another) and the arch/reads
-//!   flags;
-//! * closed-form backends — the trace fingerprint plus the balancing
-//!   strategies, remap-schedule period, and arch/reads flags. The seed is
-//!   deliberately excluded: closed forms are only ever built for periodic
-//!   (St/Bs) axes whose epoch tables are pure functions of the epoch index.
+//!   flags.
 //!
 //! Because every builder in `analytic`/`kernel` is deterministic in those
 //! inputs, a hit returns exactly what recomputation would have produced:
@@ -42,7 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nvpim_array::{ArchStyle, Step, Trace, WriteSource};
-use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_obs::{Json, Observer};
 
 /// 128-bit FNV-1a offset basis.
@@ -123,15 +117,11 @@ pub enum ArtifactKind {
     /// A compiled +Hw wear kernel specialized against one software row
     /// table (`kernel::compile`).
     Kernel,
-    /// A fully built closed-form backend (static prefix tables or the +Hw
-    /// cycle-algebra form).
-    ClosedForm,
 }
 
 impl ArtifactKind {
     /// All kinds, in stats/manifest order.
-    pub const ALL: [ArtifactKind; 3] =
-        [ArtifactKind::Panels, ArtifactKind::Kernel, ArtifactKind::ClosedForm];
+    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Panels, ArtifactKind::Kernel];
 
     /// Stable lowercase label used in manifests and reports.
     #[must_use]
@@ -139,7 +129,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Panels => "panels",
             ArtifactKind::Kernel => "kernels",
-            ArtifactKind::ClosedForm => "closed_forms",
         }
     }
 
@@ -147,7 +136,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Panels => 0,
             ArtifactKind::Kernel => 1,
-            ArtifactKind::ClosedForm => 2,
         }
     }
 
@@ -160,8 +148,8 @@ impl ArtifactKind {
     /// those buys nothing and costs allocator pressure plus LRU churn, so
     /// kernels pass a second-touch admission filter: the first miss of a
     /// key only records its fingerprint, and the artifact is stored when
-    /// the same key misses again. Panels and closed forms are keyed per
-    /// (workload, arch) — a handful per process — and skip probation.
+    /// the same key misses again. Panels are keyed per (workload, arch) — a
+    /// handful per process — and skip probation.
     fn needs_admission(self) -> bool {
         matches!(self, ArtifactKind::Kernel)
     }
@@ -205,7 +193,7 @@ impl KindStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Statistics per kind, in [`ArtifactKind::ALL`] order.
-    pub per_kind: [KindStats; 3],
+    pub per_kind: [KindStats; 2],
 }
 
 impl StoreStats {
@@ -288,7 +276,7 @@ struct KindCounters {
 pub struct ArtifactStore {
     budget: usize,
     inner: Mutex<Inner>,
-    counters: [KindCounters; 3],
+    counters: [KindCounters; 2],
 }
 
 impl ArtifactStore {
@@ -301,7 +289,7 @@ impl ArtifactStore {
         ArtifactStore {
             budget: budget_bytes,
             inner: Mutex::new(Inner::default()),
-            counters: [KindCounters::default(), KindCounters::default(), KindCounters::default()],
+            counters: [KindCounters::default(), KindCounters::default()],
         }
     }
 
@@ -567,36 +555,6 @@ pub(crate) fn kernel_key(
     h.finish()
 }
 
-/// Key for a fully built closed-form backend. Seed-free by design: closed
-/// forms exist only for periodic (St/Bs) axes whose epoch tables are pure
-/// functions of the epoch index.
-pub(crate) fn closed_form_key(
-    tag: u8,
-    trace_fp: Fingerprint,
-    balance: BalanceConfig,
-    schedule: RemapSchedule,
-    arch: ArchStyle,
-    track_reads: bool,
-) -> Fingerprint {
-    let mut h = Fnv::new();
-    h.byte(b'C');
-    h.byte(tag);
-    h.fingerprint(trace_fp);
-    h.byte(balance.row as u8);
-    h.byte(balance.col as u8);
-    h.bool(balance.hw);
-    match schedule.period() {
-        Some(p) => {
-            h.byte(1);
-            h.u64(p);
-        }
-        None => h.byte(0),
-    }
-    h.byte(arch_tag(arch));
-    h.bool(track_reads);
-    h.finish()
-}
-
 /// A per-engine handle over an optional store: funnels lookups through
 /// [`ArtifactStore::get_or_insert`] when a store is attached, builds
 /// directly (no tallies) when not.
@@ -736,7 +694,7 @@ mod tests {
         let store = ArtifactStore::new(1);
         for _ in 0..3 {
             let (v, hit) =
-                store.get_or_insert(ArtifactKind::ClosedForm, store_key(9), || (41u64 + 1, 64));
+                store.get_or_insert(ArtifactKind::Panels, store_key(9), || (41u64 + 1, 64));
             assert!(!hit);
             assert_eq!(*v, 42);
         }
@@ -791,24 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_keys_separate_configs_and_schedules() {
-        let fp = trace_fingerprint(&sample_trace(16));
-        let base: BalanceConfig = "StxBs".parse().unwrap();
-        let other: BalanceConfig = "BsxBs".parse().unwrap();
-        let a =
-            closed_form_key(1, fp, base, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        let b =
-            closed_form_key(1, fp, other, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        let c =
-            closed_form_key(1, fp, base, RemapSchedule::every(20), ArchStyle::PresetOutput, false);
-        let d =
-            closed_form_key(2, fp, base, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
-    }
-
-    #[test]
     fn store_ctx_tallies_and_none_store_builds_directly() {
         let store = ArtifactStore::new(1 << 20);
         let mut ctx = StoreCtx::new(Some(&store));
@@ -842,7 +782,7 @@ mod tests {
         let store = ArtifactStore::new(1 << 20);
         store.get_or_insert(ArtifactKind::Panels, store_key(1), || (1u64, 8));
         let json = store.stats().to_json().render();
-        for key in ["\"hits\"", "\"misses\"", "\"panels\"", "\"kernels\"", "\"closed_forms\""] {
+        for key in ["\"hits\"", "\"misses\"", "\"panels\"", "\"kernels\""] {
             assert!(json.contains(key), "stats json missing {key}: {json}");
         }
     }

@@ -9,7 +9,8 @@
 //!   (epoch-factorized for speed, bit-exact against naive execution);
 //! * [`analytic`] — replay-free wear evaluation: per-cell wear as a
 //!   closed-form (or lazily enumerated) function of the iteration count,
-//!   bit-identical to [`sim`], with O(cells) lifetime queries;
+//!   bit-identical to [`sim`], with lifetime queries whose cost does not
+//!   grow with the iteration count;
 //! * [`artifacts`] — content-addressed memoization of trace walks, logical
 //!   panels, and compiled kernels, shared across matrix/sweep/serve cells;
 //! * [`lifetime`] — Eq. 4: expected array lifetime from the hottest cell's

@@ -71,11 +71,6 @@ pub struct SimConfig {
     /// have produced (keys cover all determining inputs), so results are
     /// identical either way; off exists for ablation and purity tests.
     pub artifact_store: bool,
-    /// Whether the analytic engine uses the cache-blocked row-major fold
-    /// and flat scatter paths instead of the legacy per-cell loops.
-    /// Identical results either way; off exists only for the ablation
-    /// bench.
-    pub blocked_folds: bool,
 }
 
 impl SimConfig {
@@ -93,7 +88,6 @@ impl SimConfig {
             hw_kernels: true,
             epoch_series: false,
             artifact_store: true,
-            blocked_folds: true,
         }
     }
 
@@ -162,14 +156,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_artifact_store(mut self, enabled: bool) -> Self {
         self.artifact_store = enabled;
-        self
-    }
-
-    /// Enables or disables cache-blocked fold/scatter loops in the
-    /// analytic engine (on by default; off is for the ablation bench).
-    #[must_use]
-    pub fn with_blocked_folds(mut self, enabled: bool) -> Self {
-        self.blocked_folds = enabled;
         self
     }
 }

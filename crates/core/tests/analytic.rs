@@ -13,7 +13,8 @@
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{classify, AnalyticPath, AnalyticWearEngine};
-use nvpim_core::{lifetime, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_core::{lifetime, ArtifactStore, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
@@ -102,9 +103,8 @@ fn never_schedule_is_closed_form_for_every_config() {
 fn classification_predicts_engine_path_for_every_config() {
     let cfg = SimConfig::default().with_iterations(10).with_schedule(RemapSchedule::every(5));
     let wl = DotProduct::new(ArrayDims::new(128, 8), 8, 8).build();
-    let dims = wl.trace().dims();
     for balance in BalanceConfig::all() {
-        let predicted = classify(balance, cfg.schedule, dims, cfg.track_reads);
+        let predicted = classify(balance, cfg.schedule);
         let engine = AnalyticWearEngine::new(&wl, balance, cfg);
         assert_eq!(predicted, engine.path(), "classify disagrees with the engine for {balance}");
         let expected = if balance.hw && balance.row == nvpim_balance::Strategy::Random {
@@ -258,4 +258,122 @@ fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
             }
         }
     }
+}
+
+/// Asserts the analytic engine equals per-iteration step replay cell by
+/// cell at each of `ns`, querying one engine in ascending order.
+fn assert_matches_step_replay(wl: &Workload, cfg: SimConfig, balance: BalanceConfig, ns: &[u64]) {
+    let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
+    let path = engine.path();
+    let label = wl.name();
+    for &n in ns {
+        let analytic = engine.wear_at(n);
+        let replayed =
+            EnduranceSimulator::new(cfg.with_iterations(n).with_hw_kernels(false)).run(wl, balance);
+        let dims = wl.trace().dims();
+        for row in 0..dims.rows() {
+            for lane in 0..dims.lanes() {
+                assert_eq!(
+                    (analytic.writes_at(row, lane), analytic.reads_at(row, lane)),
+                    (replayed.wear.writes_at(row, lane), replayed.wear.reads_at(row, lane)),
+                    "{label} {balance} [{path}] n={n}: wear diverges at ({row},{lane})"
+                );
+            }
+        }
+    }
+}
+
+/// Byte-shifting over 1024 addresses (1023 beside the `Hw` spare row) has
+/// period ⌈1024/8⌉ = 128, the longest table cycle of the paper's geometry.
+/// With a remap period of 2, 201 iterations end mid-epoch before any
+/// super-cycle completes (q = 0), 600 end on an epoch boundary after two
+/// 128-epoch super-cycles (q > 0), and 1601 end mid-epoch after several
+/// super-cycles of every configuration here (q > 0 with a partial epoch).
+const BS128_COUNTS: [u64; 3] = [201, 600, 1601];
+
+#[test]
+fn byte_shift_rows_at_period_128_match_step_replay() {
+    let cfg = SimConfig::default().with_schedule(RemapSchedule::every(2)).with_read_tracking(true);
+    let workloads = [
+        ParallelMul::new(ArrayDims::new(1024, 8), 8).build(),
+        DotProduct::new(ArrayDims::new(1024, 8), 8, 4).build(),
+    ];
+    for wl in &workloads {
+        for name in ["BsxSt", "BsxBs", "BsxSt+Hw", "BsxBs+Hw", "RaxBs", "BsxRa"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            assert_matches_step_replay(wl, cfg, balance, &BS128_COUNTS);
+        }
+    }
+}
+
+#[test]
+fn byte_shift_lanes_at_period_128_match_step_replay() {
+    let cfg = SimConfig::default().with_schedule(RemapSchedule::every(2)).with_read_tracking(true);
+    let workloads = [
+        ParallelMul::new(ArrayDims::new(24, 1024), 2).build(),
+        DotProduct::new(ArrayDims::new(64, 1024), 16, 2).build(),
+    ];
+    for wl in &workloads {
+        for name in ["StxBs", "BsxBs", "StxBs+Hw", "BsxBs+Hw", "RaxBs", "BsxRa"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            assert_matches_step_replay(wl, cfg, balance, &BS128_COUNTS);
+        }
+    }
+}
+
+#[test]
+fn multi_class_lazy_grouping_matches_step_replay() {
+    // Several lane classes per workload, so epochs grouped by lane set
+    // (RaxSt, RaxBs) and by row phase (StxRa, BsxRa) each merge many
+    // distinct keys, including repeat visits to a key across epochs.
+    let cfg = SimConfig::default().with_schedule(RemapSchedule::every(3)).with_read_tracking(true);
+    let workloads = [
+        DotProduct::new(ArrayDims::new(256, 16), 16, 4).build(),
+        Convolution::new(ArrayDims::new(128, 64), 4, 3, 4).build(),
+    ];
+    for wl in &workloads {
+        for name in ["RaxSt", "StxRa", "RaxBs", "BsxRa", "RaxRa"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            assert_matches_step_replay(wl, cfg, balance, &[8, 61, 200]);
+        }
+    }
+}
+
+#[test]
+fn paper_matrix_classifies_24_closed_21_lazy_9_fallback() {
+    let schedule = RemapSchedule::every(100);
+    let cfg = SimConfig::paper().with_schedule(schedule);
+    let workloads =
+        [ParallelMul::paper().build(), Convolution::paper().build(), DotProduct::paper().build()];
+    let mut counts = std::collections::BTreeMap::new();
+    for wl in &workloads {
+        assert_eq!(wl.trace().dims(), ArrayDims::new(1024, 1024));
+        for balance in BalanceConfig::all() {
+            let path = classify(balance, schedule);
+            assert_eq!(path, AnalyticWearEngine::new(wl, balance, cfg).path(), "{balance}");
+            *counts.entry(path.label()).or_insert(0) += 1;
+        }
+    }
+    let counts: Vec<_> = counts.into_iter().collect();
+    assert_eq!(counts, [("closed_form", 24), ("fallback", 9), ("lazy", 21)]);
+}
+
+#[test]
+fn hw_closed_form_compiles_only_the_kernels_a_query_reaches() {
+    // Byte-shifted rows beside the spare row cycle through 128 tables. A
+    // 20-epoch query compiles the 20 kernels it uses; one spanning whole
+    // super-cycles needs all 128, and no more.
+    let wl = ParallelMul::new(ArrayDims::new(1024, 8), 8).build();
+    let cfg = SimConfig::default().with_schedule(RemapSchedule::every(100));
+    let store = ArtifactStore::new(64 << 20);
+    let balance: BalanceConfig = "BsxBs+Hw".parse().unwrap();
+    let mut engine = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &store);
+    let lookups = |engine: &AnalyticWearEngine<'_>| {
+        let used = engine.artifact_use();
+        used.hits + used.misses
+    };
+    let _ = engine.wear_at(2_000);
+    assert_eq!(lookups(&engine), 20);
+    let _ = engine.wear_at(30_000);
+    assert_eq!(lookups(&engine), 128);
 }

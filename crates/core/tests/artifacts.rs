@@ -6,8 +6,8 @@
 //! would have produced — so these tests pin every store regime (off,
 //! cold, warm, and starved to a 1-byte budget that evicts every insert)
 //! against the store-off reference, cell by cell, across all 18 balancing
-//! configurations, both fold layouts, the replay simulator's kernel path,
-//! and a seeded fuzz arm over random shapes and schedules.
+//! configurations, the replay simulator's kernel path, and a seeded fuzz
+//! arm over random shapes and schedules.
 //! `scripts/ci.sh` runs this suite in release mode.
 
 use nvpim_array::ArrayDims;
@@ -97,24 +97,6 @@ fn store_regimes_are_bit_identical_for_every_config() {
     }
 }
 
-/// The cache-blocked fold/scatter layout must be algebra-neutral: a run
-/// with `blocked_folds` off is the scalar per-(class, slot) loop.
-#[test]
-fn blocked_and_scalar_folds_are_bit_identical() {
-    let wl = DotProduct::new(ArrayDims::new(256, 16), 16, 8).build();
-    let cfg = SimConfig::paper()
-        .with_iterations(23)
-        .with_schedule(RemapSchedule::every(7))
-        .with_read_tracking(true)
-        .with_artifact_store(false);
-    for balance in BalanceConfig::all() {
-        let blocked = AnalyticWearEngine::new(&wl, balance, cfg).wear_at(cfg.iterations);
-        let scalar = AnalyticWearEngine::new(&wl, balance, cfg.with_blocked_folds(false))
-            .wear_at(cfg.iterations);
-        assert_maps_equal(&blocked, &scalar, &format!("{balance} blocked-vs-scalar"));
-    }
-}
-
 /// The replay simulator's compiled-kernel path goes through the store
 /// when enabled; wear must not depend on the knob for any configuration.
 #[test]
@@ -166,7 +148,6 @@ fn fuzzed_cells_are_store_invariant() {
             .with_iterations(iterations)
             .with_schedule(RemapSchedule::every(period))
             .with_read_tracking(next() % 2 == 0)
-            .with_blocked_folds(next() % 2 == 0)
             .with_artifact_store(false)
             .with_seed(next());
         let label = format!("trial {trial}: {balance} {rows}x{lanes} i={iterations} p={period}");

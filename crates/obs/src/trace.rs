@@ -35,6 +35,7 @@
 //! assert!(json.contains("traceEvents"));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -175,6 +176,14 @@ impl Ring {
     }
 }
 
+/// Source of recorder ids (keys into each thread's ambient contexts).
+static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's ambient context per recorder, by recorder id.
+    static AMBIENT: RefCell<Vec<(u64, TraceContext)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Collects completed spans into a bounded ring and exports them.
 ///
 /// One lock guards the ring; it is taken only when a span *closes* (guard
@@ -186,7 +195,8 @@ pub struct TraceRecorder {
     next_trace: AtomicU64,
     next_span: AtomicU64,
     ring: Mutex<Ring>,
-    ambient: Mutex<Option<TraceContext>>,
+    /// Keys this recorder's entry in each thread's [`AMBIENT`] list.
+    id: u64,
     threads: Mutex<BTreeMap<u64, String>>,
 }
 
@@ -220,7 +230,7 @@ impl TraceRecorder {
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             ring: Mutex::new(Ring { slots: Vec::new(), head: 0, evicted: 0 }),
-            ambient: Mutex::new(None),
+            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             threads: Mutex::new(BTreeMap::new()),
         }
     }
@@ -285,24 +295,32 @@ impl TraceRecorder {
         }
     }
 
-    /// Sets the process-ambient context picked up by instrumentation that
-    /// has no explicit propagation path (e.g. `core::parallel` fan-out
-    /// workers). CLI drivers set this once around a whole run; servers use
-    /// explicit per-request contexts instead, so concurrent requests never
-    /// contaminate each other.
+    /// Sets the calling thread's ambient context, picked up by
+    /// instrumentation that has no explicit propagation path (e.g.
+    /// `core::parallel` fan-out captures it on the driver thread and hands
+    /// it to its workers). CLI drivers set this once around a whole run.
+    /// The context is per thread and per recorder, so concurrent runs on
+    /// other threads never adopt each other's root spans; servers use
+    /// explicit per-request contexts instead.
     pub fn set_ambient(&self, ctx: TraceContext) {
-        *self.ambient.lock().expect("ambient poisoned") = Some(ctx);
+        AMBIENT.with(|ambient| {
+            let mut ambient = ambient.borrow_mut();
+            ambient.retain(|&(id, _)| id != self.id);
+            ambient.push((self.id, ctx));
+        });
     }
 
-    /// Clears the ambient context.
+    /// Clears the calling thread's ambient context.
     pub fn clear_ambient(&self) {
-        *self.ambient.lock().expect("ambient poisoned") = None;
+        AMBIENT.with(|ambient| ambient.borrow_mut().retain(|&(id, _)| id != self.id));
     }
 
-    /// The ambient context, if one is set.
+    /// The calling thread's ambient context, if one is set.
     #[must_use]
     pub fn ambient(&self) -> Option<TraceContext> {
-        *self.ambient.lock().expect("ambient poisoned")
+        AMBIENT.with(|ambient| {
+            ambient.borrow().iter().find(|&&(id, _)| id == self.id).map(|&(_, ctx)| ctx)
+        })
     }
 
     /// Nanoseconds since the recorder's epoch.
@@ -622,6 +640,19 @@ mod tests {
         assert_eq!(rec.ambient(), Some(root.context()));
         rec.clear_ambient();
         assert!(rec.ambient().is_none());
+    }
+
+    #[test]
+    fn ambient_context_is_per_thread_and_per_recorder() {
+        let (rec, other) = (TraceRecorder::new(), TraceRecorder::new());
+        let root = rec.begin_trace("run");
+        rec.set_ambient(root.context());
+        assert!(other.ambient().is_none(), "another recorder sees its own context");
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(rec.ambient().is_none(), "another thread sees its own context"));
+        });
+        assert_eq!(rec.ambient(), Some(root.context()));
+        rec.clear_ambient();
     }
 
     #[test]

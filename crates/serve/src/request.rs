@@ -29,6 +29,12 @@ use crate::hash::fnv1a;
 /// requests are rejected up front instead of tying a worker up for hours.
 pub const MAX_ITERATIONS: u64 = 1_000_000;
 
+/// Upper bound on accepted array cells (`rows × lanes`): four paper-sized
+/// (1024 × 1024) arrays, whose wear map alone takes 64 MiB. The bound is on
+/// the product, so no single request can ask for a map that exhausts
+/// memory, whatever its shape.
+pub const MAX_CELLS: usize = 1 << 22;
+
 /// Why a request was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestError {
@@ -202,8 +208,10 @@ impl SimRequest {
         if rows < 4 || lanes < 2 {
             return Err(RequestError::new("array must be at least 4 rows × 2 lanes"));
         }
-        if rows > 1 << 16 || lanes > 1 << 16 {
-            return Err(RequestError::new("array dimensions capped at 65536 × 65536"));
+        if rows.checked_mul(lanes).map_or(true, |cells| cells > MAX_CELLS) {
+            return Err(RequestError::new(format!(
+                "array of {rows} × {lanes} exceeds the {MAX_CELLS}-cell limit"
+            )));
         }
 
         let width = get_dim(&wl_doc, doc, "width", 8)?;
@@ -534,6 +542,25 @@ mod tests {
         ] {
             let err = SimRequest::from_str(body).expect_err(body);
             assert!(err.message.contains(needle), "{body}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn cell_bound_rejects_huge_arrays_and_admits_paper_dims() {
+        for body in [
+            r#"{"workload": "mul", "rows": 65536, "lanes": 65536}"#,
+            r#"{"workload": "mul", "rows": 4096, "lanes": 2048}"#,
+            r#"{"workload": "mul", "rows": 4, "lanes": 4194305}"#,
+            r#"{"workload": "mul", "rows": 18446744073709551615, "lanes": 2}"#,
+        ] {
+            let err = SimRequest::from_str(body).expect_err(body);
+            assert!(err.message.contains("cell limit"), "{body}: {}", err.message);
+        }
+        for (rows, lanes) in [(1024, 1024), (2048, 2048), (4, 1 << 20), (1 << 21, 2)] {
+            let body = format!(r#"{{"workload": "mul", "rows": {rows}, "lanes": {lanes}}}"#);
+            let req = parse(&body);
+            assert_eq!((req.rows, req.lanes), (rows, lanes));
+            assert!(req.rows * req.lanes <= MAX_CELLS);
         }
     }
 

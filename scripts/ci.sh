@@ -30,9 +30,8 @@ cargo test -q --release --offline -p nvpim-core --test analytic
 
 # The artifact-store bit-identity suite in release mode: wear identical
 # with the store off, cold, warm, and starved to a 1-byte budget (every
-# insert immediately evicted) across all 18 configurations, the blocked
-# vs scalar fold layouts, and a seeded fuzz arm over shapes, schedules,
-# and byte budgets.
+# insert immediately evicted) across all 18 configurations, and a seeded
+# fuzz arm over shapes, schedules, and byte budgets.
 cargo test -q --release --offline -p nvpim-core --test artifacts
 
 # The HTTP service end to end in release mode: concurrent byte-identical
@@ -77,6 +76,16 @@ for key in wear.max_writes wear.p99_writes wear.mean_writes wear.gini wear.remap
         { echo "ci: manifest series section is missing $key" >&2; exit 1; }
 done
 echo "ci: traced smoke artifacts validated"
+
+# Paper-scale golden check: `repro fig17 --full` (3 programs × 18
+# configurations on a 1024×1024 array, 100 000 iterations) must reproduce
+# the recorded report byte for byte. EXPERIMENTS.md's Fig. 17 table is
+# this file, so the documented numbers cannot drift from the binary.
+cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+    fig17 --full --jobs 2 > "$OBS_TMP/fig17-full.txt"
+diff "$OBS_TMP/fig17-full.txt" perfbench/ref/fig17-full.txt ||
+    { echo "ci: repro fig17 --full differs from perfbench/ref/fig17-full.txt" >&2; exit 1; }
+echo "ci: fig17 --full matches its golden report"
 
 # Cross-configuration artifact reuse end to end: renders the fig14–16
 # heatmaps plus the fig17 lifetime matrix twice in one process and fails
