@@ -148,26 +148,6 @@ fn bench_analytic_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_translation_cache(c: &mut Criterion) {
-    // The replay hot-path ablation: cached flat-table translation vs
-    // per-step trait-dispatched lookups, for a software-remapped config
-    // (static within an epoch, so the cache applies) at a remap period
-    // that exercises many epochs.
-    let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
-    let base = SimConfig::paper()
-        .with_iterations(200)
-        .with_schedule(nvpim_balance::RemapSchedule::every(10));
-    let mut group = c.benchmark_group("translation_cache");
-    group.sample_size(10);
-    for (name, enabled) in [("cached", true), ("uncached", false)] {
-        group.bench_function(name, |b| {
-            let sim = EnduranceSimulator::new(base.with_translation_cache(enabled));
-            b.iter(|| black_box(sim.run(&workload, "RaxRa".parse().unwrap()).wear.max_writes()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_alloc_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("alloc_policy_layout");
     group.sample_size(20);
@@ -193,7 +173,6 @@ criterion_group!(
     bench_arch_styles,
     bench_hw_replay,
     bench_analytic_query,
-    bench_translation_cache,
     bench_alloc_policies
 );
 criterion_main!(benches);

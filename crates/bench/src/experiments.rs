@@ -285,9 +285,9 @@ pub fn fig17_report(scale: Scale) -> String {
     fig17_table(&names, &data, scale.iterations)
 }
 
-/// Renders the Fig. 17 table from an already-computed improvement matrix —
-/// shared by the local path and `repro --fleet`, which obtains the same
-/// matrix over a serve fleet's `/batch` endpoint.
+/// Renders the Fig. 17 table from an already-computed improvement matrix
+/// (one series per workload), so a caller that computed the matrix once can
+/// render several reports from it.
 ///
 /// # Panics
 ///
@@ -325,10 +325,8 @@ pub fn table3_report(scale: Scale) -> String {
 }
 
 /// Renders Table 3 from an already-computed improvement matrix (one series
-/// per workload, in [`Scale::all_workloads`] order) — the matrix either
-/// comes from the local analytic engine or, under `repro --fleet`, from a
-/// serve fleet's `/batch` endpoint. Lane utilization is a static workload
-/// property and is always computed locally.
+/// per workload, in [`Scale::all_workloads`] order). Lane utilization is a
+/// static workload property and is computed here.
 ///
 /// # Panics
 ///

@@ -49,11 +49,6 @@ pub struct SimConfig {
     /// Whether to also accumulate per-cell *read* counts (needed only for
     /// Fig. 5b; costs extra time).
     pub track_reads: bool,
-    /// Whether the static-map replay path scatters through the per-epoch
-    /// flat translation table ([`CombinedMap::row_table`]) instead of
-    /// re-translating every step. Identical results either way; off exists
-    /// only for the ablation bench.
-    pub translation_cache: bool,
     /// Whether dynamic (`+Hw`) maps run through the epoch-compiled wear
     /// kernel (one symbolic trace walk per epoch, folded in O(rows))
     /// instead of replaying every iteration step by step. Identical results
@@ -84,7 +79,6 @@ impl SimConfig {
             schedule: RemapSchedule::every(100),
             seed: 0xC0FFEE,
             track_reads: false,
-            translation_cache: true,
             hw_kernels: true,
             epoch_series: false,
             artifact_store: true,
@@ -123,14 +117,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_read_tracking(mut self, track: bool) -> Self {
         self.track_reads = track;
-        self
-    }
-
-    /// Enables or disables the epoch translation-cache fast path (on by
-    /// default; disabling is for the ablation bench only).
-    #[must_use]
-    pub fn with_translation_cache(mut self, enabled: bool) -> Self {
-        self.translation_cache = enabled;
         self
     }
 
@@ -368,14 +354,10 @@ impl EnduranceSimulator {
                 }
                 replays += span;
             } else {
-                // Static within the epoch: one replay, scaled. With the
-                // translation cache the epoch's flat row table replaces the
-                // per-step lookup chain.
-                if self.cfg.translation_cache {
-                    acc.replay_cached(trace, map.row_table(), self.cfg.arch);
-                } else {
-                    acc.replay(trace, &mut map, self.cfg.arch);
-                }
+                // Static within the epoch: one replay, scaled, through the
+                // epoch's flat row table instead of the per-step lookup
+                // chain.
+                acc.replay_cached(trace, map.row_table(), self.cfg.arch);
                 replays += 1;
             }
             if let Some(t) = replay_timer {
@@ -943,39 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn translation_cache_off_matches_on() {
-        // The cached flat-table replay is a pure strength reduction: turning
-        // it off (trait-dispatched per-step lookups) must not move a single
-        // write or read.
-        let wl = small_mul();
-        let base = SimConfig::default()
-            .with_iterations(9)
-            .with_schedule(RemapSchedule::every(4))
-            .with_read_tracking(true);
-        for config in ["StxSt", "RaxSt", "StxRa", "BsxBs", "RaxRa"] {
-            let balance: BalanceConfig = config.parse().unwrap();
-            let cached =
-                EnduranceSimulator::new(base.with_translation_cache(true)).run(&wl, balance);
-            let uncached =
-                EnduranceSimulator::new(base.with_translation_cache(false)).run(&wl, balance);
-            for row in 0..128 {
-                for lane in 0..8 {
-                    assert_eq!(
-                        cached.wear.writes_at(row, lane),
-                        uncached.wear.writes_at(row, lane),
-                        "{config} writes diverge at ({row},{lane})"
-                    );
-                    assert_eq!(
-                        cached.wear.reads_at(row, lane),
-                        uncached.wear.reads_at(row, lane),
-                        "{config} reads diverge at ({row},{lane})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_all_configs_matches_serial() {
         let wl = small_mul();
         let cfg = SimConfig::default().with_iterations(6).with_schedule(RemapSchedule::every(3));
@@ -1009,12 +958,6 @@ mod tests {
             assert_eq!(compiled.series.len(), 5, "{config}: 20 iters / period 4");
             assert_eq!(compiled.series, replayed.series, "{config} trajectories diverge");
         }
-        // Static maps: translation cache on/off must agree the same way.
-        let cached = EnduranceSimulator::new(base.with_translation_cache(true))
-            .run(&wl, "RaxRa".parse().unwrap());
-        let uncached = EnduranceSimulator::new(base.with_translation_cache(false))
-            .run(&wl, "RaxRa".parse().unwrap());
-        assert_eq!(cached.series, uncached.series);
     }
 
     #[test]

@@ -45,8 +45,10 @@ fn parallel_matrix_produces_one_coherent_trace() {
         tracer.clear_ambient();
     }
 
-    // Every job span belongs to the root's trace and parents to the root.
-    let jobs: Vec<_> = recorder.spans().into_iter().filter(|s| s.name == "exec.job").collect();
+    // Every job span of the root's trace parents to the root. Sibling tests
+    // share this process-wide recorder, so only this trace's spans count.
+    let jobs: Vec<_> =
+        recorder.spans_for(root_trace).into_iter().filter(|s| s.name == "exec.job").collect();
     assert_eq!(jobs.len(), 8, "one exec.job span per matrix cell");
     for job in &jobs {
         assert_eq!(job.trace, root_trace, "job span escaped the trace");
@@ -71,7 +73,7 @@ fn parallel_matrix_produces_one_coherent_trace() {
     assert_eq!(stats.complete_spans, 9, "root + 8 jobs");
 
     // Flame aggregation sees the jobs under the root.
-    let flame = recorder.flame();
+    let flame = recorder.flame_for(root_trace);
     let job_row = flame.iter().find(|r| r.name == "exec.job").expect("exec.job row");
     assert_eq!(job_row.count, 8);
     let root_row = flame.iter().find(|r| r.name == "repro.matrix").expect("root row");
@@ -81,22 +83,39 @@ fn parallel_matrix_produces_one_coherent_trace() {
 #[test]
 fn without_ambient_context_jobs_open_no_spans() {
     // Runs in the same process as the test above (order unknown), so it
-    // asserts a relative property: fan-out with no ambient set records no
-    // *new* exec.job spans.
+    // asserts a scoped property: fan-out with no ambient set records no
+    // exec.job spans on the threads that ran its jobs.
     let installed = match observer::install(Observer::collecting()) {
         Ok(arc) => arc,
         Err(_) => observer::current().expect("installed by sibling test"),
     };
-    if let Some(tracer) = installed.tracer() {
+    let tracer = installed.tracer().cloned();
+    if let Some(tracer) = &tracer {
         tracer.clear_ambient();
     }
-    let count_jobs = || {
-        installed.tracer().map_or(0, |t| t.spans().iter().filter(|s| s.name == "exec.job").count())
-    };
-    let before = count_jobs();
-    let out = nvpim_core::fan_out((0..4u64).collect(), 2, |i, _| i + 1);
+    // Each job leaves a marker trace on the thread that runs it, so the job
+    // spans of this fan-out (if any) can be told apart from those sibling
+    // tests record concurrently: they would share a marker's thread id.
+    let markers = std::sync::Mutex::new(Vec::new());
+    let out = nvpim_core::fan_out((0..4u64).collect(), 2, |i, _| {
+        if let Some(tracer) = &tracer {
+            let marker = tracer.begin_trace("marker");
+            markers.lock().unwrap().push(marker.trace());
+        }
+        i + 1
+    });
     assert_eq!(out, vec![1, 2, 3, 4]);
-    assert_eq!(count_jobs(), before, "no ambient context ⇒ no job spans");
+    let Some(tracer) = tracer else { return };
+    let markers = markers.into_inner().unwrap();
+    assert_eq!(markers.len(), 4);
+    let tids: std::collections::BTreeSet<u64> =
+        markers.iter().flat_map(|&m| tracer.spans_for(m)).map(|s| s.tid).collect();
+    let leaked = tracer
+        .spans()
+        .into_iter()
+        .filter(|s| s.name == "exec.job" && tids.contains(&s.tid))
+        .count();
+    assert_eq!(leaked, 0, "no ambient context ⇒ no job spans");
 }
 
 #[test]

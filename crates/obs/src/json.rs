@@ -286,14 +286,22 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON document (rejecting trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound keeps hostile input (a request body of a million
+/// `[`) from overflowing the stack; nothing this workspace writes nests
+/// more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (rejecting trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`]).
 ///
 /// Supports everything this crate's writer emits; used by the test-suite to
-/// validate artifacts and by tooling that re-reads manifests.
+/// validate artifacts, by tooling that re-reads manifests, and by the
+/// service to read request bodies.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -320,8 +328,11 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -337,7 +348,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -365,7 +376,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                     return Err(err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -484,6 +495,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("123abc").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // Far past the bound, and unterminated: still an error, not a
+        // stack overflow.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

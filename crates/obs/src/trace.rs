@@ -421,30 +421,39 @@ impl TraceRecorder {
     /// hottest-self first.
     #[must_use]
     pub fn flame(&self) -> Vec<FlameRow> {
-        let spans = self.spans();
-        let mut child_ns: BTreeMap<SpanId, u64> = BTreeMap::new();
-        for s in &spans {
-            if let Some(parent) = s.parent {
-                *child_ns.entry(parent).or_insert(0) += s.dur_ns;
-            }
-        }
-        let mut rows: BTreeMap<&str, FlameRow> = BTreeMap::new();
-        for s in &spans {
-            let row = rows.entry(s.name.as_str()).or_insert_with(|| FlameRow {
-                name: s.name.clone(),
-                count: 0,
-                total_ns: 0,
-                self_ns: 0,
-            });
-            row.count += 1;
-            row.total_ns += s.dur_ns;
-            let children = child_ns.get(&s.span).copied().unwrap_or(0);
-            row.self_ns += s.dur_ns.saturating_sub(children);
-        }
-        let mut out: Vec<FlameRow> = rows.into_values().collect();
-        out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
-        out
+        flame_of(&self.spans())
     }
+
+    /// [`TraceRecorder::flame`] restricted to one trace id.
+    #[must_use]
+    pub fn flame_for(&self, trace: TraceId) -> Vec<FlameRow> {
+        flame_of(&self.spans_for(trace))
+    }
+}
+
+fn flame_of(spans: &[SpanRecord]) -> Vec<FlameRow> {
+    let mut child_ns: BTreeMap<SpanId, u64> = BTreeMap::new();
+    for s in spans {
+        if let Some(parent) = s.parent {
+            *child_ns.entry(parent).or_insert(0) += s.dur_ns;
+        }
+    }
+    let mut rows: BTreeMap<&str, FlameRow> = BTreeMap::new();
+    for s in spans {
+        let row = rows.entry(s.name.as_str()).or_insert_with(|| FlameRow {
+            name: s.name.clone(),
+            count: 0,
+            total_ns: 0,
+            self_ns: 0,
+        });
+        row.count += 1;
+        row.total_ns += s.dur_ns;
+        let children = child_ns.get(&s.span).copied().unwrap_or(0);
+        row.self_ns += s.dur_ns.saturating_sub(children);
+    }
+    let mut out: Vec<FlameRow> = rows.into_values().collect();
+    out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
+    out
 }
 
 /// One row of [`TraceRecorder::flame`]'s self-vs-total aggregation.
@@ -678,6 +687,25 @@ mod tests {
         let metas =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("M")).count();
         assert!(metas >= 1, "thread_name metadata present");
+    }
+
+    #[test]
+    fn flame_for_counts_only_its_own_trace() {
+        let rec = TraceRecorder::new();
+        let mine = rec.begin_trace("mine");
+        let other = rec.begin_trace("other");
+        drop(rec.span(mine.context(), "job"));
+        drop(rec.span(other.context(), "job"));
+        drop(rec.span(other.context(), "job"));
+        let trace = mine.trace();
+        drop(mine);
+        drop(other);
+        let all = rec.flame();
+        assert_eq!(all.iter().find(|r| r.name == "job").unwrap().count, 3);
+        let scoped = rec.flame_for(trace);
+        assert_eq!(scoped.len(), 2, "job + mine, nothing from the other trace");
+        assert_eq!(scoped.iter().find(|r| r.name == "job").unwrap().count, 1);
+        assert!(scoped.iter().all(|r| r.name != "other"));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl HttpRequest {
 /// A malformed or over-limit request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpError {
-    /// Suggested response status (400 or 413).
+    /// Suggested response status (400, 413, or 431).
     pub status: u16,
     /// Human-readable description.
     pub message: String,
@@ -76,12 +76,13 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Reads one request from the stream.
+/// Reads one request from the stream (a socket in the server, any byte
+/// source in tests).
 ///
 /// I/O failures surface as `Err(Err(io))`; protocol violations as
 /// `Err(Ok(HttpError))` so the caller can still answer with a status code.
-pub fn read_request(
-    stream: &mut TcpStream,
+pub fn read_request<R: Read>(
+    stream: &mut R,
 ) -> Result<HttpRequest, Result<HttpError, std::io::Error>> {
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];

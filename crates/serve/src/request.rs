@@ -175,6 +175,13 @@ fn get_u64(doc: &Json, key: &str, default: u64) -> Result<u64, RequestError> {
     }
 }
 
+fn get_str<'d>(doc: &'d Json, key: &str, default: &'d str) -> Result<&'d str, RequestError> {
+    match doc.get(key) {
+        None => Ok(default),
+        Some(v) => v.as_str().ok_or_else(|| RequestError::new(format!("`{key}` must be a string"))),
+    }
+}
+
 fn get_bool(doc: &Json, key: &str, default: bool) -> Result<bool, RequestError> {
     match doc.get(key) {
         None => Ok(default),
@@ -201,7 +208,7 @@ impl SimRequest {
             other @ Json::Obj(_) => other,
             _ => return Err(RequestError::new("`workload` must be an object or a kind string")),
         };
-        let kind = wl_doc.get("kind").and_then(Json::as_str).unwrap_or("mul").to_owned();
+        let kind = get_str(&wl_doc, "kind", "mul")?.to_owned();
 
         let rows = get_dim(&wl_doc, doc, "rows", 512)?;
         let lanes = get_dim(&wl_doc, doc, "lanes", 64)?;
@@ -258,11 +265,10 @@ impl SimRequest {
             }
         };
 
-        let config_text = doc.get("config").and_then(Json::as_str).unwrap_or("StxSt").to_owned();
-        let config = BalanceConfig::from_str(&config_text)
+        let config = BalanceConfig::from_str(get_str(doc, "config", "StxSt")?)
             .map_err(|e| RequestError::new(format!("bad `config`: {e}")))?;
 
-        let arch = match doc.get("arch").and_then(Json::as_str).unwrap_or("preset-output") {
+        let arch = match get_str(doc, "arch", "preset-output")? {
             "preset-output" | "preset" | "cram" => ArchStyle::PresetOutput,
             "sense-amp" | "senseamp" | "pinatubo" => ArchStyle::SenseAmp,
             other => {
@@ -286,15 +292,8 @@ impl SimRequest {
         let track_reads = get_bool(doc, "track_reads", false)?;
         let series = get_bool(doc, "series", false)?;
 
-        let technology = match doc.get("technology") {
-            None => Technology::Mram,
-            Some(v) => {
-                let text =
-                    v.as_str().ok_or_else(|| RequestError::new("`technology` must be a string"))?;
-                Technology::from_str(text)
-                    .map_err(|e| RequestError::new(format!("bad `technology`: {e}")))?
-            }
-        };
+        let technology = Technology::from_str(get_str(doc, "technology", "mram")?)
+            .map_err(|e| RequestError::new(format!("bad `technology`: {e}")))?;
 
         let timeout_ms = match doc.get("timeout_ms") {
             None => None,
@@ -389,9 +388,13 @@ impl SimRequest {
 
     /// Builds the request's workload.
     ///
-    /// Validation in [`SimRequest::from_json`] mirrors the constructors'
-    /// asserts, so this does not panic for a parsed request; the server
-    /// still wraps execution in `catch_unwind` as a backstop.
+    /// # Panics
+    ///
+    /// [`SimRequest::from_json`] checks field types and value ranges, but
+    /// not whether the workload's operands fit the array's rows: a request
+    /// whose allocation overflows the array (e.g. 64-bit `conv` on a short
+    /// array) panics here. The server runs this under `catch_unwind` and
+    /// answers such requests with a 400.
     #[must_use]
     pub fn build_workload(&self) -> Workload {
         let dims = ArrayDims::new(self.rows, self.lanes);

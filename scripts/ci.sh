@@ -38,12 +38,6 @@ cargo test -q --release --offline -p nvpim-core --test artifacts
 # responses, cache hits, 429 backpressure, 504 timeouts, graceful drain.
 cargo test -q --release --offline -p nvpim-serve --test integration
 
-# The multi-node fleet suite in release mode: three in-process members
-# exchanging forwards, hot-entry replicas, and gossip over real sockets —
-# ring ownership, the single-hop loop guard, replica failover after an
-# owner shutdown, and byte-identity of fleet vs single-node answers.
-cargo test -q --release --offline -p nvpim-serve --test fleet
-
 # Two-worker smoke of the repro harness at a scaled-down iteration count:
 # exercises the full binary → parallel matrix path end to end. serve-smoke
 # boots an in-process server and round-trips real HTTP requests.
@@ -86,6 +80,15 @@ cargo run --release --offline -q -p nvpim-bench --bin repro -- \
 diff "$OBS_TMP/fig17-full.txt" perfbench/ref/fig17-full.txt ||
     { echo "ci: repro fig17 --full differs from perfbench/ref/fig17-full.txt" >&2; exit 1; }
 echo "ci: fig17 --full matches its golden report"
+
+# Default-scale golden check: `repro all` (every table and figure at 2 000
+# iterations) must reproduce the recorded report byte for byte, so a
+# refactor cannot move any number the paper reproduction prints.
+cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+    all --jobs 2 > "$OBS_TMP/all-default.txt"
+diff "$OBS_TMP/all-default.txt" perfbench/ref/all-default.txt ||
+    { echo "ci: repro all differs from perfbench/ref/all-default.txt" >&2; exit 1; }
+echo "ci: repro all matches its golden report"
 
 # Cross-configuration artifact reuse end to end: renders the fig14–16
 # heatmaps plus the fig17 lifetime matrix twice in one process and fails
