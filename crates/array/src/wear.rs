@@ -1,6 +1,6 @@
 //! Per-cell read/write accounting and distribution statistics.
 
-use crate::{ArrayDims, LaneSet, WearPanel};
+use crate::{ArrayDims, LaneSet};
 
 /// A 2-D map of accumulated cell writes (and reads) over an array.
 ///
@@ -43,23 +43,6 @@ impl WearMap {
             sum_writes: 0,
             sum_reads: 0,
         }
-    }
-
-    /// A wear map over flat row-major write (and read) counters, taking
-    /// ownership of the buffers — the analytic engine materializes whole
-    /// planes and hands them over without a copy. Untracked reads
-    /// (`None`) are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a buffer is not exactly `dims.cells()` long.
-    #[must_use]
-    pub fn from_flat(dims: ArrayDims, writes: Vec<u64>, reads: Option<Vec<u64>>) -> Self {
-        let reads = reads.unwrap_or_else(|| vec![0; dims.cells()]);
-        assert_eq!(writes.len(), dims.cells(), "flat write plane length mismatch");
-        assert_eq!(reads.len(), dims.cells(), "flat read plane length mismatch");
-        let (sum_writes, sum_reads) = (writes.iter().sum(), reads.iter().sum());
-        WearMap { dims, writes, reads, sum_writes, sum_reads }
     }
 
     /// The dimensions this map covers.
@@ -143,26 +126,53 @@ impl WearMap {
         total
     }
 
-    /// Folds a flat delta panel into this map, scaled: every cell gains
-    /// `panel_delta × scale`. This is the compiled-kernel scatter path —
-    /// one contiguous pass over both row-major buffers (no lane-set
-    /// iteration, no per-cell indexing arithmetic), with the cached grand
-    /// totals updated from the panel's own running sums.
+    /// Adds the rank-1 term `rowvec ⊗ runs` to the write plane (or, with
+    /// `reads`, the read plane): `rowvec[x]` at every lane of every
+    /// `start..end` run of row `x`. Row-vector epoch algebra reaches the
+    /// map through this — one pass over the touched cells per distinct
+    /// lane set, however many epochs were summed into `rowvec`.
     ///
     /// # Panics
     ///
-    /// Panics if the dimensions differ.
-    pub fn accumulate_panel(&mut self, panel: &WearPanel, scale: u64) {
-        assert_eq!(self.dims, panel.dims(), "wear panel dimension mismatch");
-        for (cell, &delta) in self.writes.iter_mut().zip(panel.writes()) {
-            *cell += delta * scale;
-        }
-        self.sum_writes += panel.sum_writes() * scale;
-        if panel.tracks_reads() {
-            for (cell, &delta) in self.reads.iter_mut().zip(panel.reads()) {
-                *cell += delta * scale;
+    /// Panics if a run ends past the lane count.
+    pub fn add_outer(&mut self, rowvec: &[u64], runs: &[(usize, usize)], reads: bool) {
+        let width: u64 = runs.iter().map(|&(start, end)| (end - start) as u64).sum();
+        let lanes = self.dims.lanes();
+        let (plane, sum) = self.plane_mut(reads);
+        for (row, &v) in plane.chunks_exact_mut(lanes).zip(rowvec) {
+            if v == 0 {
+                continue;
             }
-            self.sum_reads += panel.sum_reads() * scale;
+            for &(start, end) in runs {
+                for cell in &mut row[start..end] {
+                    *cell += v;
+                }
+            }
+            *sum += v * width;
+        }
+    }
+
+    /// Adds `scale × weights[lane]` at every lane of `row`, to the write
+    /// plane or (with `reads`) the read plane — one row of a rank-1 term
+    /// whose lane side is a weight vector rather than a lane set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn add_row_scaled(&mut self, row: usize, weights: &[u64], scale: u64, reads: bool) {
+        let lanes = self.dims.lanes();
+        let (plane, sum) = self.plane_mut(reads);
+        for (cell, &w) in plane[row * lanes..(row + 1) * lanes].iter_mut().zip(weights) {
+            *cell += scale * w;
+            *sum += scale * w;
+        }
+    }
+
+    fn plane_mut(&mut self, reads: bool) -> (&mut [u64], &mut u64) {
+        if reads {
+            (&mut self.reads, &mut self.sum_reads)
+        } else {
+            (&mut self.writes, &mut self.sum_writes)
         }
     }
 
@@ -494,23 +504,30 @@ mod tests {
     }
 
     #[test]
-    fn flat_planes_match_per_cell_adds() {
-        let dims = ArrayDims::new(3, 4);
-        let deltas: Vec<u64> = (0..dims.cells() as u64).collect();
-        let flat = WearMap::from_flat(dims, deltas.clone(), Some(deltas.clone()));
+    fn outer_and_scaled_row_adds_match_per_cell_adds() {
+        let dims = ArrayDims::new(3, 5);
+        let mut fast = WearMap::new(dims);
+        fast.add_outer(&[2, 0, 7], &[(0, 2), (3, 4)], false);
+        fast.add_outer(&[1, 4], &[(4, 5)], true);
+        fast.add_row_scaled(2, &[1, 0, 3, 0, 2], 5, false);
         let mut slow = WearMap::new(dims);
-        for (i, &d) in deltas.iter().enumerate() {
-            slow.add_write_at(i / 4, i % 4, d);
-            slow.add_read_at(i / 4, i % 4, d);
+        for (row, count) in [(0, 2), (2, 7)] {
+            slow.add_writes(row, &LaneSet::from_indices(5, &[0, 1, 3]), count);
+        }
+        slow.add_read_at(0, 4, 1);
+        slow.add_read_at(1, 4, 4);
+        for (lane, count) in [(0, 5), (2, 15), (4, 10)] {
+            slow.add_write_at(2, lane, count);
         }
         for r in 0..3 {
-            for l in 0..4 {
-                assert_eq!(flat.writes_at(r, l), slow.writes_at(r, l));
-                assert_eq!(flat.reads_at(r, l), slow.reads_at(r, l));
+            for l in 0..5 {
+                assert_eq!(fast.writes_at(r, l), slow.writes_at(r, l), "writes ({r},{l})");
+                assert_eq!(fast.reads_at(r, l), slow.reads_at(r, l), "reads ({r},{l})");
             }
         }
-        assert_eq!(flat.total_writes(), flat.recount_writes());
-        assert_eq!(flat.total_reads(), flat.recount_reads());
+        assert_eq!(fast.total_writes(), fast.recount_writes());
+        assert_eq!(fast.total_reads(), fast.recount_reads());
+        assert_eq!(fast.total_writes(), slow.total_writes());
     }
 
     #[test]

@@ -49,10 +49,13 @@
 //!    repeats: `Ra` rows add O(rows) row vectors per lane key (`RaxSt`:
 //!    one lane table, `RaxBs`: at most `L_col`), `Ra` lanes under periodic
 //!    rows add lane vectors per row phase (`StxRa`: one row table,
-//!    `BsxRa`: at most `L_row`), and only `RaxRa` pays one cell scatter
-//!    per epoch. With `Hw` each epoch costs one O(rows) kernel fold
-//!    (kernels memoized per row-table phase) and one scatter — never a
-//!    trace walk.
+//!    `BsxRa`: at most `L_row`). `RaxRa` keys row vectors by each epoch's
+//!    permuted lane sets and flushes them into the wear map whenever the
+//!    keys would outnumber the lanes. With `Hw` each epoch folds its
+//!    kernel (memoized per row-table phase — never a trace walk) into
+//!    O(rows) row vectors under the same keys and flush rule
+//!    ([`crate::kernel`]): a full-width class keeps one key under every
+//!    lane permutation, so only partial-width classes cost cell scatters.
 //! 3. **Fallback** ([`AnalyticPath::Fallback`]) — `Ra` rows with `Hw`: the
 //!    software table feeding the kernel compiler changes unpredictably
 //!    every epoch, so each epoch needs a fresh symbolic trace walk anyway.
@@ -94,7 +97,6 @@
 //! assert!(wear.max_writes() > 0);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use nvpim_array::trace::TraceCounts;
@@ -104,7 +106,7 @@ use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
 
 use crate::artifacts::{self, ArtifactKind, ArtifactStore, ArtifactUse, Fingerprint, StoreCtx};
-use crate::kernel;
+use crate::kernel::{self, LaneKeys, PendingTerms, RowVecs};
 use crate::parallel::fan_out;
 use crate::sim::{EnduranceSimulator, SimConfig, SimResult};
 
@@ -315,117 +317,7 @@ fn fetch_kernel(
     kernel
 }
 
-/// Flat row-major write (and read) planes a query materializes into.
-#[derive(Debug, Clone)]
-struct Planes {
-    dims: ArrayDims,
-    writes: Vec<u64>,
-    reads: Option<Vec<u64>>,
-}
-
-impl Planes {
-    fn new(dims: ArrayDims, track_reads: bool) -> Self {
-        Planes {
-            dims,
-            writes: vec![0; dims.cells()],
-            reads: track_reads.then(|| vec![0; dims.cells()]),
-        }
-    }
-
-    fn into_wear(self) -> WearMap {
-        WearMap::from_flat(self.dims, self.writes, self.reads)
-    }
-}
-
-/// Adds `rowvec ⊗ runs` to a row-major plane: `rowvec[x]` at every lane of
-/// every contiguous run of row `x`.
-fn add_outer(plane: &mut [u64], lanes: usize, rowvec: &[u64], runs: &[(usize, usize)]) {
-    for (row, &v) in plane.chunks_exact_mut(lanes).zip(rowvec) {
-        if v == 0 {
-            continue;
-        }
-        for &(start, end) in runs {
-            for cell in &mut row[start..end] {
-                *cell += v;
-            }
-        }
-    }
-}
-
-/// The ascending lanes of `set` as contiguous `start..end` runs.
-fn lane_runs(set: &LaneSet) -> Vec<(usize, usize)> {
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    for lane in set.iter() {
-        match runs.last_mut() {
-            Some((_, end)) if *end == lane => *end += 1,
-            _ => runs.push((lane, lane + 1)),
-        }
-    }
-    runs
-}
-
-/// Interned physical lane sets — the keys row vectors are grouped under —
-/// with each set's contiguous runs for materialization.
-#[derive(Debug, Default)]
-struct LaneKeys {
-    ids: HashMap<LaneSet, usize>,
-    runs: Vec<Vec<(usize, usize)>>,
-}
-
-impl LaneKeys {
-    fn intern(&mut self, set: LaneSet) -> usize {
-        let runs = &mut self.runs;
-        *self.ids.entry(set).or_insert_with_key(|set| {
-            runs.push(lane_runs(set));
-            runs.len() - 1
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.runs.clear();
-    }
-}
-
-/// One write (and read) row vector per lane key; a key's vectors stay
-/// unallocated (empty) until terms are added under it.
-#[derive(Debug)]
-struct RowVecs {
-    rows: usize,
-    writes: Vec<Vec<u64>>,
-    reads: Option<Vec<Vec<u64>>>,
-}
-
 impl RowVecs {
-    fn new(rows: usize, track_reads: bool) -> Self {
-        RowVecs { rows, writes: Vec::new(), reads: track_reads.then(Vec::new) }
-    }
-
-    /// Grows to at least `keys` (unallocated) vectors.
-    fn fit(&mut self, keys: usize) {
-        for vecs in std::iter::once(&mut self.writes).chain(self.reads.as_mut()) {
-            if vecs.len() < keys {
-                vecs.resize_with(keys, Vec::new);
-            }
-        }
-    }
-
-    /// The key's write and read vectors, allocated on first use.
-    fn key_mut(&mut self, key: usize) -> (&mut [u64], Option<&mut [u64]>) {
-        fn alloc(v: &mut Vec<u64>, rows: usize) -> &mut [u64] {
-            v.resize(rows, 0);
-            v
-        }
-        self.fit(key + 1);
-        let rows = self.rows;
-        let reads = self.reads.as_mut().map(|reads| alloc(&mut reads[key], rows));
-        (alloc(&mut self.writes[key], rows), reads)
-    }
-
     /// Adds one software epoch's terms: `w · T·V_c` under each class's key.
     fn add_sw(&mut self, panels: &LogicalPanels, table: &[usize], keys: &[usize], w: u64) {
         for (class, &key) in keys.iter().enumerate() {
@@ -439,51 +331,6 @@ impl RowVecs {
                 let vr = &vr[class];
                 for &r in live {
                     acc[table[r]] += w * vr[r];
-                }
-            }
-        }
-    }
-
-    /// Adds one `Hw` epoch's terms: `span` iterations of `kernel` folded
-    /// per class and placed through the arrangement `d` under each class's
-    /// key.
-    fn add_hw(
-        &mut self,
-        kernel: &WearKernel,
-        d: &[usize],
-        keys: &[usize],
-        span: u64,
-        folded: &mut Vec<u64>,
-    ) {
-        folded.resize(d.len(), 0);
-        for (class, &key) in keys.iter().enumerate() {
-            let (acc, acc_reads) = self.key_mut(key);
-            kernel.fold_epoch_into(span, kernel.slot_writes(class), folded);
-            for (&slot_row, &v) in d.iter().zip(folded.iter()) {
-                acc[slot_row] += v;
-            }
-            if let (Some(acc), Some(slot_reads)) = (acc_reads, kernel.slot_reads(class)) {
-                kernel.fold_epoch_into(span, slot_reads, folded);
-                for (&slot_row, &v) in d.iter().zip(folded.iter()) {
-                    acc[slot_row] += v;
-                }
-            }
-        }
-    }
-
-    /// Adds `Σ rowvec ⊗ lanes` over every key into `planes`, then zeroes
-    /// the vectors for reuse.
-    fn drain_into(&mut self, keys: &LaneKeys, planes: &mut Planes) {
-        let lanes = planes.dims.lanes();
-        for (key, runs) in keys.runs.iter().enumerate() {
-            if let Some(v) = self.writes.get_mut(key) {
-                add_outer(&mut planes.writes, lanes, v, runs);
-                v.fill(0);
-            }
-            if let (Some(reads), Some(plane)) = (&mut self.reads, &mut planes.reads) {
-                if let Some(v) = reads.get_mut(key) {
-                    add_outer(plane, lanes, v, runs);
-                    v.fill(0);
                 }
             }
         }
@@ -575,9 +422,8 @@ impl LaneVecs {
         }
     }
 
-    /// Adds `Σ (T·V_c) ⊗ lanevec` into `planes`, then zeroes the vectors.
-    fn drain_into(&mut self, panels: &LogicalPanels, rows: &mut Phases, planes: &mut Planes) {
-        let lanes = self.lanes;
+    /// Adds `Σ (T·V_c) ⊗ lanevec` into `wear`, then zeroes the vectors.
+    fn drain_into(&mut self, panels: &LogicalPanels, rows: &mut Phases, wear: &mut WearMap) {
         for (phase, vecs) in self.phases.iter_mut().enumerate() {
             let Some(vecs) = vecs else { continue };
             let table = rows.table(phase as u64);
@@ -585,17 +431,13 @@ impl LaneVecs {
                 if acc.iter().all(|&w| w == 0) {
                     continue;
                 }
-                let plane_rows = std::iter::once((&mut planes.writes, &panels.writes))
-                    .chain(planes.reads.as_mut().zip(panels.reads.as_ref()));
-                for (plane, v) in plane_rows {
+                let plane_rows = std::iter::once((&panels.writes, false))
+                    .chain(panels.reads.as_ref().map(|v| (v, true)));
+                for (v, reads) in plane_rows {
                     for &r in &panels.live[class] {
                         let scale = v[class][r];
-                        if scale == 0 {
-                            continue;
-                        }
-                        let row = &mut plane[table[r] * lanes..(table[r] + 1) * lanes];
-                        for (cell, &w) in row.iter_mut().zip(acc.iter()) {
-                            *cell += scale * w;
+                        if scale > 0 {
+                            wear.add_row_scaled(table[r], acc, scale, reads);
                         }
                     }
                 }
@@ -735,7 +577,7 @@ impl StaticClosedForm {
     }
 
     fn query(&mut self, n: u64) -> WearMap {
-        let mut planes = Planes::new(self.dims, self.panels.reads.is_some());
+        let mut wear = WearMap::new(self.dims);
         let (full, rem) = split_epochs(n, self.period);
         let (q, r) = (full / self.l, full % self.l);
         let reached = if q > 0 { self.l } else { r + u64::from(rem > 0) };
@@ -744,8 +586,8 @@ impl StaticClosedForm {
             for (j, w) in cycle_weights(n, self.period, self.l) {
                 vecs.add(j, &self.classes, self.lanes.tables.table(j), w);
             }
-            vecs.drain_into(&self.panels, &mut self.rows, &mut planes);
-            return planes.into_wear();
+            vecs.drain_into(&self.panels, &mut self.rows, &mut wear);
+            return wear;
         }
         while self.sums.phases < reached {
             let j = self.sums.phases;
@@ -754,11 +596,8 @@ impl StaticClosedForm {
             self.sums.push(keys, &mut self.terms);
         }
         let p = self.period.unwrap_or(0);
-        let lanes = self.dims.lanes();
         for key in 0..self.keys.len() {
-            let plane_sums = std::iter::once((&mut planes.writes, false))
-                .chain(planes.reads.as_mut().map(|plane| (plane, true)));
-            for (plane, reads) in plane_sums {
+            for reads in std::iter::once(false).chain(self.panels.reads.is_some().then_some(true)) {
                 let sum = |bound| self.sums.before(key, bound).and_then(|s| s.plane(reads));
                 let row = &mut self.row;
                 row.fill(0);
@@ -778,10 +617,10 @@ impl StaticClosedForm {
                         }
                     }
                 }
-                add_outer(plane, lanes, row, &self.keys.runs[key]);
+                wear.add_outer(row, &self.keys.runs[key], reads);
             }
         }
-        planes.into_wear()
+        wear
     }
 }
 
@@ -903,18 +742,11 @@ impl HwClosedForm {
         self.terms.fit(self.keys.len());
 
         let fk = self.f.as_ref().filter(|_| k > 0).map(|f| f.power(k));
-        let mut planes = Planes::new(self.dims, self.terms.reads.is_some());
-        let lanes = self.dims.lanes();
+        let mut wear = WearMap::new(self.dims);
         for key in 0..self.keys.len() {
-            let plane_terms =
-                std::iter::once((&mut planes.writes, &mut self.terms.writes[key], false)).chain(
-                    planes
-                        .reads
-                        .as_mut()
-                        .zip(self.terms.reads.as_mut())
-                        .map(|(plane, terms)| (plane, &mut terms[key], true)),
-                );
-            for (plane, partial, reads) in plane_terms {
+            let plane_terms = std::iter::once((&mut self.terms.writes[key], false))
+                .chain(self.terms.reads.as_mut().map(|terms| (&mut terms[key], true)));
+            for (partial, reads) in plane_terms {
                 let sum = |bound| self.sums.before(key, bound).and_then(|s| s.plane(reads));
                 let row = &mut self.row;
                 match (&self.f, sum(self.l)) {
@@ -934,10 +766,10 @@ impl HwClosedForm {
                     }
                 }
                 *partial = Vec::new();
-                add_outer(plane, lanes, row, &self.keys.runs[key]);
+                wear.add_outer(row, &self.keys.runs[key], reads);
             }
         }
-        planes.into_wear()
+        wear
     }
 }
 
@@ -946,8 +778,9 @@ impl HwClosedForm {
 enum LazyGroup {
     /// `Ra` rows: row vectors per lane key. Periodic lanes reuse one key
     /// list per phase across epochs; `Ra` lanes (`lanes: None`) intern
-    /// fresh keys and drain them into the planes every epoch.
-    ByLanes { lanes: Option<LanePhases>, keys: LaneKeys, vecs: RowVecs },
+    /// each epoch's permuted lane sets, flushing the pending terms into the
+    /// wear map when the keys would outnumber the lanes.
+    ByLanes { lanes: Option<LanePhases>, terms: PendingTerms },
     /// `Ra` lanes under periodic rows: lane vectors per row phase.
     ByRows { rows: Phases, vecs: LaneVecs },
 }
@@ -963,8 +796,8 @@ struct LazySw {
     classes: Vec<LaneSet>,
     map: CombinedMap,
     done: u64,
-    /// Wear of every term drained so far.
-    planes: Planes,
+    /// Wear of every term flushed so far.
+    wear: WearMap,
     group: LazyGroup,
 }
 
@@ -981,8 +814,7 @@ impl LazySw {
             LazyGroup::ByLanes {
                 lanes: (balance.col != Strategy::Random)
                     .then(|| LanePhases::new(balance.col, dims.lanes(), cfg.schedule)),
-                keys: LaneKeys::default(),
-                vecs: RowVecs::new(dims.rows(), cfg.track_reads),
+                terms: PendingTerms::new(dims.rows(), cfg.track_reads),
             }
         } else {
             let rows = Phases::new(balance.row, dims.rows(), cfg.schedule);
@@ -994,7 +826,7 @@ impl LazySw {
             classes: trace.classes().to_vec(),
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             done: 0,
-            planes: Planes::new(dims, cfg.track_reads),
+            wear: WearMap::new(dims),
             group,
         }
     }
@@ -1003,10 +835,10 @@ impl LazySw {
         if n < self.done {
             // Deterministic restart: re-derive the epoch sequence from the
             // seed (backwards queries are rare — sweeps ascend). Pending
-            // terms were drained by the previous query.
-            let dims = self.planes.dims;
+            // terms were flushed by the previous query.
+            let dims = self.wear.dims();
             self.map = CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed);
-            self.planes = Planes::new(dims, cfg.track_reads);
+            self.wear = WearMap::new(dims);
             self.done = 0;
         }
         let panels = &*self.panels;
@@ -1017,17 +849,13 @@ impl LazySw {
             };
             let epoch = self.map.epoch();
             match &mut self.group {
-                LazyGroup::ByLanes { lanes: Some(lanes), keys, vecs } => {
-                    let ids = lanes.keys(epoch, &self.classes, keys);
-                    vecs.add_sw(panels, self.map.row_table(), ids, span);
+                LazyGroup::ByLanes { lanes: Some(lanes), terms } => {
+                    let ids = lanes.keys(epoch, &self.classes, &mut terms.keys);
+                    terms.vecs.add_sw(panels, self.map.row_table(), ids, span);
                 }
-                LazyGroup::ByLanes { lanes: None, keys, vecs } => {
-                    let perm = self.map.lane_permutation();
-                    let ids: Vec<usize> =
-                        self.classes.iter().map(|c| keys.intern(c.permuted(perm))).collect();
-                    vecs.add_sw(panels, self.map.row_table(), &ids, span);
-                    vecs.drain_into(keys, &mut self.planes);
-                    keys.clear();
+                LazyGroup::ByLanes { lanes: None, terms } => {
+                    terms.intern_epoch(&self.classes, self.map.lane_permutation(), &mut self.wear);
+                    terms.vecs.add_sw(panels, self.map.row_table(), &terms.ids, span);
                 }
                 LazyGroup::ByRows { vecs, .. } => {
                     vecs.add(epoch, &self.classes, self.map.lane_permutation(), span);
@@ -1041,17 +869,18 @@ impl LazySw {
             }
         }
         match &mut self.group {
-            LazyGroup::ByLanes { keys, vecs, .. } => vecs.drain_into(keys, &mut self.planes),
-            LazyGroup::ByRows { rows, vecs } => vecs.drain_into(panels, rows, &mut self.planes),
+            LazyGroup::ByLanes { terms, .. } => terms.flush(&mut self.wear),
+            LazyGroup::ByRows { rows, vecs } => vecs.drain_into(panels, rows, &mut self.wear),
         }
-        self.planes.clone().into_wear()
+        self.wear.clone()
     }
 }
 
 /// Lazy enumerator for `Hw` configs with periodic rows and `Ra` lanes:
 /// kernels are memoized per row-table phase (at most `L_row` trace walks
-/// ever), each epoch folds its kernel and advances the arrangement exactly
-/// like the simulator's compiled path.
+/// ever), each epoch folds its kernel into row vectors and advances the
+/// arrangement exactly like the simulator's compiled path
+/// ([`kernel::apply_kernel_epoch`]); queries end with a flush.
 #[derive(Debug)]
 struct LazyHw {
     dims: ArrayDims,
@@ -1116,6 +945,7 @@ impl LazyHw {
                 self.map.advance_epoch();
             }
         }
+        self.scratch.terms.flush(&mut self.wear);
         self.wear.clone()
     }
 }

@@ -367,6 +367,11 @@ impl EnduranceSimulator {
             let scatter_timer = enabled.then(Instant::now);
             if let Some(engine) = &mut hw_engine {
                 engine.apply_epoch(trace, &mut map, span, &mut wear);
+                // Pending row vectors land before the wear map is read: at
+                // every epoch-series sample and after the last epoch.
+                if self.cfg.epoch_series || iteration + span == self.cfg.iterations {
+                    engine.flush(&mut wear);
+                }
             } else {
                 let scale = if map.is_dynamic() { 1 } else { span };
                 acc.scatter(trace, &map, &mut wear, scale);

@@ -6,11 +6,16 @@
 //! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across every
 //! balancing configuration, multiple geometries, partial final epochs, long
 //! never-remap spans (the `q > 0` cycle-power fold), and randomized
-//! redirect-storm parameters. `scripts/ci.sh` runs them in release mode.
+//! redirect-storm parameters. Narrow multi-class arrays drive the
+//! row-vector flush rule (keys overflowing the lane count mid-run, and the
+//! flush before every epoch-series sample) against the analytic engine and
+//! step replay. `scripts/ci.sh` runs them in release mode.
 
-use nvpim_array::ArrayDims;
+use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
+use nvpim_core::analytic::AnalyticWearEngine;
 use nvpim_core::{EnduranceSimulator, SimConfig};
+use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
@@ -124,5 +129,77 @@ fn randomized_redirect_storms_stay_bit_identical() {
             balance.parse().unwrap(),
             &format!("fuzz case {case} ({rows}x{lanes} w{width})"),
         );
+    }
+}
+
+/// Narrow arrays with at least four lane classes: under `Ra` lanes every
+/// epoch interns fresh partial-width lane sets, so the pending keys reach
+/// the lane count within a few epochs and flush mid-run.
+fn narrow_multi_class() -> [(&'static str, Workload); 2] {
+    let workloads = [
+        ("dot-64x8", DotProduct::new(ArrayDims::new(64, 8), 8, 4).build()),
+        ("conv-128x16", Convolution::new(ArrayDims::new(128, 16), 4, 2, 3).build()),
+    ];
+    for (label, wl) in &workloads {
+        assert!(wl.trace().classes().len() >= 4, "{label}: too few lane classes");
+    }
+    workloads
+}
+
+fn assert_same_wear(a: &WearMap, b: &WearMap, what: &str) {
+    let dims = a.dims();
+    for row in 0..dims.rows() {
+        for lane in 0..dims.lanes() {
+            assert_eq!(
+                (a.writes_at(row, lane), a.reads_at(row, lane)),
+                (b.writes_at(row, lane), b.reads_at(row, lane)),
+                "{what}: wear diverges at ({row},{lane})"
+            );
+        }
+    }
+}
+
+#[test]
+fn row_vector_flushes_match_analytic_and_step_replay_on_narrow_arrays() {
+    // Queries at 0, mid-epoch, two monotone follow-ups (the second long
+    // enough to overflow the keys many times), then a backwards restart.
+    let cfg = SimConfig::default().with_schedule(RemapSchedule::every(3)).with_read_tracking(true);
+    for (label, wl) in &narrow_multi_class() {
+        for name in ["RaxRa+Hw", "StxRa+Hw", "BsxRa+Hw", "RaxBs+Hw", "RaxRa"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
+            for n in [0, 31, 32, 121, 17] {
+                let what = format!("{label} {balance} n={n}");
+                let analytic = engine.wear_at(n);
+                let run = |kernels| {
+                    let cfg = cfg.with_iterations(n).with_hw_kernels(kernels);
+                    EnduranceSimulator::new(cfg).run(wl, balance).wear
+                };
+                let replayed = run(false);
+                assert_same_wear(&analytic, &replayed, &format!("{what} analytic"));
+                assert_same_wear(&run(true), &replayed, &format!("{what} compiled"));
+            }
+        }
+    }
+}
+
+#[test]
+fn epoch_series_matches_step_replay_on_multi_class_workloads() {
+    // Every sample must see the pending row vectors flushed: 40 iterations
+    // at period 3 give 14 samples, most of them between threshold flushes.
+    let cfg = SimConfig::default()
+        .with_iterations(40)
+        .with_schedule(RemapSchedule::every(3))
+        .with_read_tracking(true)
+        .with_epoch_series(true);
+    for (label, wl) in &narrow_multi_class() {
+        for name in ["RaxRa+Hw", "StxRa+Hw", "BsxRa+Hw", "RaxBs+Hw", "StxSt+Hw"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
+            let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+            assert_eq!(compiled.series.len(), 14, "{label} {balance}");
+            assert_eq!(compiled.series, replayed.series, "{label} {balance}: trajectories diverge");
+            assert_same_wear(&compiled.wear, &replayed.wear, &format!("{label} {balance}"));
+        }
     }
 }

@@ -90,6 +90,18 @@ diff "$OBS_TMP/all-default.txt" perfbench/ref/all-default.txt ||
     { echo "ci: repro all differs from perfbench/ref/all-default.txt" >&2; exit 1; }
 echo "ci: repro all matches its golden report"
 
+# Paper-scale golden checks for the other two EXPERIMENTS.md tables:
+# `repro table3 --full` (lane utilization and best improvement) and
+# `repro sweep --full` (re-mapping frequency) must reproduce the recorded
+# reports byte for byte.
+for report in table3 sweep; do
+    cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+        "$report" --full --jobs 2 > "$OBS_TMP/$report-full.txt"
+    diff "$OBS_TMP/$report-full.txt" "tests/golden/$report-full.txt" ||
+        { echo "ci: repro $report --full differs from tests/golden/$report-full.txt" >&2; exit 1; }
+done
+echo "ci: table3 --full and sweep --full match their golden reports"
+
 # Cross-configuration artifact reuse end to end: renders the fig14–16
 # heatmaps plus the fig17 lifetime matrix twice in one process and fails
 # unless the second pass answers from the store (artifacts.hits > 0) AND
