@@ -4,11 +4,13 @@
 //! alongside the paper's reference values, so drift from the publication is
 //! visible at a glance.
 
-use nvpim_array::{ArchStyle, ArrayDims};
+use std::sync::Mutex;
+
+use nvpim_array::{ArchStyle, ArrayDims, WearMap};
 use nvpim_balance::{access_aware, BalanceConfig, ParseConfigError, RemapSchedule};
 use nvpim_core::report::{ascii_heatmap, fmt_value, text_table};
 use nvpim_core::sim::single_iteration_profile;
-use nvpim_core::{baseline, failure, limits, sweep, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_core::{baseline, failure, limits, sweep, Lifetime, LifetimeModel, SimConfig, SimResult};
 use nvpim_workloads::Workload;
 
 use crate::Scale;
@@ -195,92 +197,192 @@ pub fn lanesets_report() -> String {
     out
 }
 
-/// The heatmap figures: Fig. 14 (multiplication), Fig. 15 (convolution),
-/// Fig. 16 (dot-product). `which` ∈ {"mul", "conv", "dot"}.
-#[must_use]
-pub fn heatmap_report(which: &str, scale: Scale) -> String {
-    heatmap_report_via(which, scale, false)
+/// The paper's three §4 benchmarks — the workload axis of the Fig. 14–17
+/// matrix — in presentation order ([`Scale::all_workloads`] order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PaperWorkload {
+    Mul,
+    Conv,
+    Dot,
 }
 
-/// [`heatmap_report`] with an explicit engine choice, so the regression
-/// test can pin the analytic path against the replay path bit-for-bit.
-fn heatmap_report_via(which: &str, scale: Scale, force_simulator: bool) -> String {
-    let (workload, figure) = match which {
-        "mul" => (scale.mul_workload(), "Fig. 14 (multiplication)"),
-        "conv" => (scale.conv_workload(), "Fig. 15 (convolution)"),
-        "dot" => (scale.dot_workload(), "Fig. 16 (dot-product)"),
-        other => panic!("unknown workload `{other}` (expected mul, conv, dot)"),
-    };
+impl PaperWorkload {
+    const ALL: [PaperWorkload; 3] = [PaperWorkload::Mul, PaperWorkload::Conv, PaperWorkload::Dot];
+
+    fn parse(which: &str) -> Self {
+        match which {
+            "mul" => PaperWorkload::Mul,
+            "conv" => PaperWorkload::Conv,
+            "dot" => PaperWorkload::Dot,
+            other => panic!("unknown workload `{other}` (expected mul, conv, dot)"),
+        }
+    }
+
+    fn build(self, scale: Scale) -> Workload {
+        match self {
+            PaperWorkload::Mul => scale.mul_workload(),
+            PaperWorkload::Conv => scale.conv_workload(),
+            PaperWorkload::Dot => scale.dot_workload(),
+        }
+    }
+
+    fn figure(self) -> &'static str {
+        match self {
+            PaperWorkload::Mul => "Fig. 14 (multiplication)",
+            PaperWorkload::Conv => "Fig. 15 (convolution)",
+            PaperWorkload::Dot => "Fig. 16 (dot-product)",
+        }
+    }
+}
+
+/// One benchmark's Fig. 17 series: lifetime improvement per configuration
+/// relative to `St × St`, in [`BalanceConfig::all`] order.
+type Improvements = Vec<(BalanceConfig, f64)>;
+
+/// Process-wide memo of the Fig. 17 matrix, one series per (scale, paper
+/// workload). The heatmap reports compute every cell of their workload
+/// anyway and fill it; `fig17_report` and `table3_report` read it, so
+/// `repro all` computes each cell once. Values are 18 floats per series,
+/// never a wear map, so the memo needs no budget.
+static IMPROVEMENTS: Mutex<Vec<((Scale, PaperWorkload), Improvements)>> = Mutex::new(Vec::new());
+
+fn memo_get(scale: Scale, which: PaperWorkload) -> Option<Improvements> {
+    let memo = IMPROVEMENTS.lock().expect("improvement memo poisoned");
+    memo.iter().find(|(key, _)| *key == (scale, which)).map(|(_, series)| series.clone())
+}
+
+fn memo_put(scale: Scale, which: PaperWorkload, series: Improvements) {
+    let mut memo = IMPROVEMENTS.lock().expect("improvement memo poisoned");
+    if !memo.iter().any(|(key, _)| *key == (scale, which)) {
+        memo.push(((scale, which), series));
+    }
+}
+
+/// The Fig. 17 matrix at `scale`, one series per workload of
+/// `workloads` (built in [`PaperWorkload::ALL`] order): memoized series
+/// where a heatmap report already computed them, the rest computed (and
+/// memoized) now.
+fn fig17_matrix(scale: Scale, workloads: &[Workload]) -> Vec<Improvements> {
+    PaperWorkload::ALL
+        .iter()
+        .zip(workloads)
+        .map(|(&which, workload)| {
+            memo_get(scale, which).unwrap_or_else(|| {
+                let series = fig17_data(workload, scale);
+                memo_put(scale, which, series.clone());
+                series
+            })
+        })
+        .collect()
+}
+
+/// Each cell's improvement over `StxSt` from the cells' lifetimes in
+/// iterations — the float expression [`LifetimeModel::improvement`]
+/// evaluates, so the series is bit-identical to it.
+fn improvements_from(lifetimes: &[(BalanceConfig, f64)]) -> Improvements {
+    let (_, baseline) =
+        lifetimes.iter().find(|(c, _)| c.is_static()).expect("StxSt is part of the matrix");
+    lifetimes.iter().map(|&(config, iterations)| (config, iterations / baseline)).collect()
+}
+
+/// Answers `configs` of `workload` at `scale` through the analytic engine,
+/// reducing each cell inside the worker job that computed it.
+fn map_cells<T: Send>(
+    workload: &Workload,
+    configs: &[BalanceConfig],
+    scale: Scale,
+    reduce: impl Fn(SimResult) -> T + Sync,
+) -> Vec<T> {
+    nvpim_core::map_configs_analytic(workload, configs, scale.sim_config(), scale.jobs, reduce)
+}
+
+/// The heatmap figures: Fig. 14 (multiplication), Fig. 15 (convolution),
+/// Fig. 16 (dot-product). `which` ∈ {"mul", "conv", "dot"}. Also fills the
+/// Fig. 17 memo for `which` at `scale`.
+#[must_use]
+pub fn heatmap_report(which: &str, scale: Scale) -> String {
+    let which = PaperWorkload::parse(which);
+    let model = LifetimeModel::mtj();
+    let combined = Mutex::new(WearMap::new(scale.dims));
+    // The 18 panels need only final wear maps, not trajectories, so they
+    // answer through the replay-free analytic engine — bit-identical to
+    // the replay path. Each job renders its panel and keeps only the
+    // lifetime, so no wear map outlives the job that computed it.
+    let cells = map_cells(&which.build(scale), &BalanceConfig::all(), scale, |result| {
+        let panel = heatmap_cell(&result, &combined);
+        (result.config, panel, model.lifetime(&result).iterations)
+    });
+    let lifetimes: Vec<(BalanceConfig, f64)> = cells.iter().map(|&(c, _, l)| (c, l)).collect();
+    memo_put(scale, which, improvements_from(&lifetimes));
+    let panels: Vec<String> = cells.into_iter().map(|(_, panel, _)| panel).collect();
+    render_heatmaps(which, scale, &panels, &combined.into_inner().expect("combined map poisoned"))
+}
+
+/// Renders one configuration's panel (header statistics and ASCII map) and
+/// adds its wear into `combined`. u64 sums are exact and
+/// order-independent, so the combined map does not depend on which job
+/// finishes first.
+fn heatmap_cell(result: &SimResult, combined: &Mutex<WearMap>) -> String {
+    let wear = &result.wear;
+    combined.lock().expect("combined map poisoned").merge(wear);
     let mut out = format!(
-        "== {figure}: write distributions, {} iterations, re-compile {} ==\n",
+        "\n-- {}: max {} writes/cell, imbalance {:.2}x, gini {:.3} --\n",
+        result.config,
+        wear.max_writes(),
+        wear.imbalance(),
+        wear.gini()
+    );
+    out.push_str(&ascii_heatmap(wear, 24, 72));
+    out.push('\n');
+    out
+}
+
+/// Assembles a heatmap report: the 18 panels in the paper's order, then
+/// the aggregate panel — total wear across every configuration, a quick
+/// visual check that balancing conserves writes while moving them.
+fn render_heatmaps(
+    which: PaperWorkload,
+    scale: Scale,
+    panels: &[String],
+    combined: &WearMap,
+) -> String {
+    let mut out = format!(
+        "== {}: write distributions, {} iterations, re-compile {} ==\n",
+        which.figure(),
         scale.iterations,
         scale.sim_config().schedule,
     );
-    // The 18 panels only need final wear maps, not trajectories, so they
-    // answer through the replay-free analytic engine (closed-form where
-    // the config is reducible, internal simulator fallback where not) —
-    // bit-identical to the replay path, rendered in the paper's order.
-    let results = if force_simulator {
-        EnduranceSimulator::new(scale.sim_config()).run_all_configs_parallel(&workload, scale.jobs)
-    } else {
-        nvpim_core::run_configs_analytic(
-            &workload,
-            &BalanceConfig::all(),
-            scale.sim_config(),
-            scale.jobs,
-        )
-    };
-    for result in &results {
-        let config = result.config;
-        out.push_str(&format!(
-            "\n-- {config}: max {} writes/cell, imbalance {:.2}x, gini {:.3} --\n",
-            result.wear.max_writes(),
-            result.wear.imbalance(),
-            result.wear.gini()
-        ));
-        out.push_str(&ascii_heatmap(&result.wear, 24, 72));
-        out.push('\n');
-    }
-    // Aggregate panel: total wear across every configuration, a quick
-    // visual check that balancing conserves writes while moving them.
-    let combined = nvpim_array::WearMap::merged(scale.dims, results.iter().map(|r| r.wear.clone()));
+    out.push_str(&panels.concat());
     out.push_str(&format!(
         "\n-- all 18 configs combined: {} total writes --\n",
         combined.total_writes()
     ));
-    out.push_str(&ascii_heatmap(&combined, 24, 72));
+    out.push_str(&ascii_heatmap(combined, 24, 72));
     out.push('\n');
     out
 }
 
 /// One benchmark's Fig. 17 data: lifetime improvement per configuration
-/// relative to `St × St`.
+/// relative to `St × St`. Uncached; each cell is reduced to its lifetime
+/// inside the job that computed it.
 #[must_use]
 pub fn fig17_data(workload: &Workload, scale: Scale) -> Vec<(BalanceConfig, f64)> {
     let model = LifetimeModel::mtj();
     // Lifetime queries don't need the wear trajectory, so the whole matrix
     // answers through the replay-free analytic engine — bit-identical to
     // the simulator (irreducible configs fall back inside the engine).
-    let results = nvpim_core::run_configs_analytic(
-        workload,
-        &BalanceConfig::all(),
-        scale.sim_config(),
-        scale.jobs,
-    );
-    let baseline_run =
-        results.iter().find(|r| r.config.is_static()).expect("StxSt is part of the matrix").clone();
-    results
-        .into_iter()
-        .map(|result| (result.config, model.improvement(&result, &baseline_run)))
-        .collect()
+    let lifetimes = map_cells(workload, &BalanceConfig::all(), scale, |result| {
+        (result.config, model.lifetime(&result).iterations)
+    });
+    improvements_from(&lifetimes)
 }
 
-/// Fig. 17: lifetime improvement bars for all three benchmarks.
+/// Fig. 17: lifetime improvement bars for all three benchmarks, from the
+/// memo where the heatmap reports already computed the matrix.
 #[must_use]
 pub fn fig17_report(scale: Scale) -> String {
     let workloads = scale.all_workloads();
-    let data: Vec<Vec<(BalanceConfig, f64)>> =
-        workloads.iter().map(|wl| fig17_data(wl, scale)).collect();
+    let data = fig17_matrix(scale, &workloads);
     let names: Vec<&str> = workloads.iter().map(Workload::name).collect();
     fig17_table(&names, &data, scale.iterations)
 }
@@ -316,12 +418,11 @@ pub fn fig17_table(
     out
 }
 
-/// Table 3: average lane utilization and best lifetime improvement.
+/// Table 3: average lane utilization and best lifetime improvement, from
+/// the Fig. 17 memo where the heatmap reports already computed the matrix.
 #[must_use]
 pub fn table3_report(scale: Scale) -> String {
-    let data: Vec<Vec<(BalanceConfig, f64)>> =
-        scale.all_workloads().iter().map(|wl| fig17_data(wl, scale)).collect();
-    table3_table(scale, &data)
+    table3_table(scale, &fig17_matrix(scale, &scale.all_workloads()))
 }
 
 /// Renders Table 3 from an already-computed improvement matrix (one series
@@ -398,8 +499,10 @@ pub fn sweep_report(scale: Scale) -> String {
 /// process and proves the artifact store's two contracts at once —
 /// byte-identical outputs across passes (hits return exactly what
 /// recomputation would produce) and actual sharing (`artifacts.hits`
-/// advances on the warm pass). Returns the check report, or an error
-/// describing which contract broke.
+/// advances on the warm pass). Fig. 17 reads the improvement memo the
+/// heatmaps fill on both passes, so the warm pass's store hits all come
+/// from the heatmap reports recomputing their 54 cells. Returns the check
+/// report, or an error describing which contract broke.
 ///
 /// # Errors
 ///
@@ -547,48 +650,53 @@ pub fn fig8_report() -> String {
 #[must_use]
 pub fn degradation_report(scale: Scale) -> String {
     let workload = scale.mul_workload();
-    let sim = EnduranceSimulator::new(scale.sim_config());
-    let mut out = format!(
-        "== Extension: degradation timeline, {} (MTJ endurance 1e12) ==\n",
-        workload.name()
+    let configs = [config("StxSt"), config("RaxRa+Hw")];
+    let lines =
+        map_cells(&workload, &configs, scale, |result| degradation_line(&workload, &result));
+    format!(
+        "== Extension: degradation timeline, {} (MTJ endurance 1e12) ==\n{}",
+        workload.name(),
+        lines.concat()
+    )
+}
+
+/// One configuration's line of the degradation report.
+fn degradation_line(workload: &Workload, result: &SimResult) -> String {
+    let timeline =
+        failure::degradation_timeline(&result.wear, result.iterations, 1_000_000_000_000);
+    let required = workload.trace().rows_used();
+    let dead = failure::iterations_until_insufficient(
+        &result.wear,
+        result.iterations,
+        1_000_000_000_000,
+        required,
     );
-    for label in ["StxSt", "RaxRa+Hw"] {
-        let result = sim.run(&workload, config(label));
-        let timeline =
-            failure::degradation_timeline(&result.wear, result.iterations, 1_000_000_000_000);
-        let required = workload.trace().rows_used();
-        let dead = failure::iterations_until_insufficient(
-            &result.wear,
-            result.iterations,
-            1_000_000_000_000,
-            required,
-        );
-        out.push_str(&format!(
-            "\n{label}: first row dies at {} iterations; workload (needs {} rows) \
-             unfits at {} iterations; 10% of rows dead by {}\n",
-            fmt_value(timeline.first().map_or(f64::INFINITY, |p| p.iterations)),
-            required,
-            dead.map_or("never".to_owned(), fmt_value),
-            fmt_value(
-                timeline
-                    .iter()
-                    .find(|p| p.usable_rows <= 0.9)
-                    .map_or(f64::INFINITY, |p| p.iterations)
-            ),
-        ));
-    }
-    out
+    format!(
+        "\n{}: first row dies at {} iterations; workload (needs {} rows) \
+         unfits at {} iterations; 10% of rows dead by {}\n",
+        result.config,
+        fmt_value(timeline.first().map_or(f64::INFINITY, |p| p.iterations)),
+        required,
+        dead.map_or("never".to_owned(), fmt_value),
+        fmt_value(
+            timeline.iter().find(|p| p.usable_rows <= 0.9).map_or(f64::INFINITY, |p| p.iterations)
+        ),
+    )
 }
 
 /// Extension: Eq. 4 under log-normal per-cell endurance variation.
 #[must_use]
 pub fn variation_report(scale: Scale) -> String {
-    use nvpim_nvm::EnduranceModel;
     let workload = scale.mul_workload();
-    let sim = EnduranceSimulator::new(scale.sim_config());
+    let reports = map_cells(&workload, &[config("RaxRa")], scale, |result| variation_text(&result));
+    reports.concat()
+}
+
+/// The variation report for one simulated configuration.
+fn variation_text(result: &SimResult) -> String {
+    use nvpim_nvm::EnduranceModel;
     let model = LifetimeModel::mtj();
-    let result = sim.run(&workload, config("RaxRa"));
-    let uniform = model.lifetime(&result);
+    let uniform = model.lifetime(result);
     let mut out =
         String::from("== Extension: first-cell-failure lifetime under endurance variation ==\n");
     out.push_str(&format!(
@@ -598,7 +706,7 @@ pub fn variation_report(scale: Scale) -> String {
     let mut rows = Vec::new();
     for sigma in [0.1f64, 0.3, 0.5, 1.0] {
         let varied = model.lifetime_with_variation(
-            &result,
+            result,
             EnduranceModel::LogNormal { median: 1_000_000_000_000, sigma },
             17,
         );
@@ -613,15 +721,24 @@ pub fn variation_report(scale: Scale) -> String {
     out
 }
 
+/// The configurations the binarized-layer report compares.
+const BNN_CONFIGS: [&str; 5] = ["StxSt", "RaxSt", "StxRa", "RaxRa", "RaxRa+Hw"];
+
 /// Extension: the fully binarized XNOR-popcount layer characterized like
 /// the paper's three benchmarks.
 #[must_use]
 pub fn bnn_report(scale: Scale) -> String {
     use nvpim_workloads::bnn_layer::BnnLayer;
     let workload = BnnLayer::new(scale.dims, 128).build();
-    let sim = EnduranceSimulator::new(scale.sim_config());
     let model = LifetimeModel::mtj();
-    let baseline_run = sim.run(&workload, BalanceConfig::baseline());
+    let lifetimes = map_cells(&workload, &BNN_CONFIGS.map(config), scale, |result| {
+        (result.config, model.lifetime(&result).iterations)
+    });
+    bnn_text(&workload, scale, &lifetimes)
+}
+
+/// The binarized-layer report from each configuration's lifetime.
+fn bnn_text(workload: &Workload, scale: Scale, lifetimes: &[(BalanceConfig, f64)]) -> String {
     let mut out = format!(
         "== Extension: binarized (XNOR-popcount) layer, {} ({} iterations) ==\n",
         workload.name(),
@@ -634,15 +751,13 @@ pub fn bnn_report(scale: Scale) -> String {
             / workload.steps_per_iteration(ArchStyle::PresetOutput).max(1),
         100.0 * workload.lane_utilization(ArchStyle::PresetOutput),
     ));
-    let mut rows = Vec::new();
-    for label in ["StxSt", "RaxSt", "StxRa", "RaxRa", "RaxRa+Hw"] {
-        let run = sim.run(&workload, config(label));
-        rows.push(vec![
-            label.to_owned(),
-            fmt_value(model.lifetime(&run).iterations),
-            format!("{:.2}x", model.improvement(&run, &baseline_run)),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = lifetimes
+        .iter()
+        .zip(improvements_from(lifetimes))
+        .map(|(&(config, iterations), (_, improvement))| {
+            vec![config.to_string(), fmt_value(iterations), format!("{improvement:.2}x")]
+        })
+        .collect();
     out.push_str(&text_table(&["config", "lifetime (iters)", "vs StxSt"], &rows));
     out.push_str(
         "\n(binarization slashes gates per result, so the same endurance budget buys\n\
@@ -654,12 +769,16 @@ pub fn bnn_report(scale: Scale) -> String {
 /// Extension: accelerator-level lifetime (§4's server-replacement framing).
 #[must_use]
 pub fn system_report(scale: Scale) -> String {
-    use nvpim_core::system::AcceleratorModel;
     let workload = scale.mul_workload();
-    let sim = EnduranceSimulator::new(scale.sim_config());
     let model = LifetimeModel::mtj();
-    let run = sim.run(&workload, config("RaxRa"));
-    let array = model.lifetime(&run);
+    let lifetimes =
+        map_cells(&workload, &[config("RaxRa")], scale, |result| model.lifetime(&result));
+    system_text(&workload, lifetimes[0])
+}
+
+/// The accelerator report from one array's lifetime.
+fn system_text(workload: &Workload, array: Lifetime) -> String {
+    use nvpim_core::system::AcceleratorModel;
     let mut out =
         format!("== Extension: accelerator of 64 arrays running {} (RaxRa) ==\n", workload.name());
     out.push_str(&format!(
@@ -691,6 +810,7 @@ pub fn system_report(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvpim_core::EnduranceSimulator;
 
     #[test]
     fn closed_form_reports_contain_paper_numbers() {
@@ -749,16 +869,130 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// The heatmap report rendered from full simulator replays, through the
+    /// same panel and assembly functions as the analytic path.
+    fn heatmap_report_replayed(which: &str, scale: Scale) -> String {
+        let which = PaperWorkload::parse(which);
+        let results = EnduranceSimulator::new(scale.sim_config())
+            .run_all_configs_parallel(&which.build(scale), scale.jobs);
+        let combined = Mutex::new(WearMap::new(scale.dims));
+        let panels: Vec<String> = results.iter().map(|r| heatmap_cell(r, &combined)).collect();
+        render_heatmaps(which, scale, &panels, &combined.into_inner().unwrap())
+    }
+
     #[test]
     fn heatmap_analytic_path_matches_simulator_bit_for_bit() {
         // The default path answers through the analytic engine; every
         // panel (all 18 configs + combined) must render byte-identically
         // to a full simulator replay.
         for which in ["mul", "conv", "dot"] {
-            let analytic = heatmap_report_via(which, Scale::tiny(), false);
-            let replay = heatmap_report_via(which, Scale::tiny(), true);
+            let analytic = heatmap_report(which, Scale::tiny());
+            let replay = heatmap_report_replayed(which, Scale::tiny());
             assert_eq!(analytic, replay, "{which}: analytic heatmap diverges from replay");
         }
+    }
+
+    #[test]
+    fn heatmap_combined_panel_sums_every_config() {
+        let scale = Scale::tiny().with_iterations(37);
+        let report = heatmap_report("dot", scale);
+        let results = nvpim_core::run_configs_analytic(
+            &scale.dot_workload(),
+            &BalanceConfig::all(),
+            scale.sim_config(),
+            scale.jobs,
+        );
+        let combined = WearMap::merged(scale.dims, results.into_iter().map(|r| r.wear));
+        let panel = format!(
+            "\n-- all 18 configs combined: {} total writes --\n{}\n",
+            combined.total_writes(),
+            ascii_heatmap(&combined, 24, 72)
+        );
+        assert!(report.ends_with(&panel), "combined panel is not the sum of the 18 maps");
+    }
+
+    fn workload_names(scale: Scale) -> Vec<String> {
+        scale.all_workloads().iter().map(|w| w.name().to_owned()).collect()
+    }
+
+    #[test]
+    fn heatmaps_fill_the_memo_that_fig17_and_table3_render() {
+        // Each memo test runs at its own iteration count, so no other test
+        // shares its (scale, workload) keys.
+        let scale = Scale::tiny().with_iterations(53);
+        for which in ["mul", "conv", "dot"] {
+            let _ = heatmap_report(which, scale);
+        }
+        let fresh: Vec<Improvements> =
+            scale.all_workloads().iter().map(|w| fig17_data(w, scale)).collect();
+        for (which, series) in PaperWorkload::ALL.iter().zip(&fresh) {
+            assert_eq!(memo_get(scale, *which).as_ref(), Some(series), "{which:?} not memoized");
+        }
+        let names = workload_names(scale);
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_eq!(fig17_report(scale), fig17_table(&names, &fresh, scale.iterations));
+        assert_eq!(table3_report(scale), table3_table(scale, &fresh));
+    }
+
+    #[test]
+    fn fig17_and_table3_answer_from_the_memo() {
+        // A planted series no engine would produce: the reports must print
+        // it instead of recomputing the matrix.
+        let scale = Scale::tiny().with_iterations(41);
+        let planted: Vec<Improvements> = (0..3)
+            .map(|i| {
+                BalanceConfig::all()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, c)| (c, 1.0 + (18 * i + j) as f64 / 8.0))
+                    .collect()
+            })
+            .collect();
+        for (which, series) in PaperWorkload::ALL.iter().zip(&planted) {
+            memo_put(scale, *which, series.clone());
+        }
+        let names = workload_names(scale);
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_eq!(fig17_report(scale), fig17_table(&names, &planted, scale.iterations));
+        assert_eq!(table3_report(scale), table3_table(scale, &planted));
+    }
+
+    #[test]
+    fn fig17_report_computes_the_matrix_on_a_miss() {
+        let scale = Scale::tiny().with_iterations(29);
+        let fresh: Vec<Improvements> =
+            scale.all_workloads().iter().map(|w| fig17_data(w, scale)).collect();
+        let names = workload_names(scale);
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_eq!(fig17_report(scale), fig17_table(&names, &fresh, scale.iterations));
+        assert_eq!(memo_get(scale, PaperWorkload::Dot).as_ref(), Some(&fresh[2]));
+    }
+
+    #[test]
+    fn extension_reports_match_the_replay_simulator() {
+        use nvpim_workloads::bnn_layer::BnnLayer;
+        let scale = Scale::tiny();
+        let sim = EnduranceSimulator::new(scale.sim_config());
+        let model = LifetimeModel::mtj();
+        let mul = scale.mul_workload();
+
+        let lines: String = ["StxSt", "RaxRa+Hw"]
+            .iter()
+            .map(|label| degradation_line(&mul, &sim.run(&mul, config(label))))
+            .collect();
+        let degradation = degradation_report(scale);
+        assert!(degradation.ends_with(&lines), "degradation diverges from replay");
+
+        let raxra = sim.run(&mul, config("RaxRa"));
+        assert_eq!(variation_report(scale), variation_text(&raxra));
+        assert_eq!(system_report(scale), system_text(&mul, model.lifetime(&raxra)));
+
+        let bnn = BnnLayer::new(scale.dims, 128).build();
+        let lifetimes: Vec<(BalanceConfig, f64)> = BNN_CONFIGS
+            .iter()
+            .map(|label| (config(label), model.lifetime(&sim.run(&bnn, config(label))).iterations))
+            .collect();
+        assert_eq!(bnn_report(scale), bnn_text(&bnn, scale, &lifetimes));
     }
 
     #[test]

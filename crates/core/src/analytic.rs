@@ -1196,6 +1196,20 @@ impl<'w> AnalyticWearEngine<'w> {
 /// answering each at `cfg.iterations` — the analytic counterpart of
 /// [`EnduranceSimulator::run_configs_parallel`], bit-identical to it and
 /// to the serial simulator.
+#[must_use]
+pub fn run_configs_analytic(
+    workload: &Workload,
+    configs: &[BalanceConfig],
+    cfg: SimConfig,
+    jobs: usize,
+) -> Vec<SimResult> {
+    map_configs_analytic(workload, configs, cfg, jobs, |r| r)
+}
+
+/// [`run_configs_analytic`] with `reduce` applied to each cell's result
+/// inside the worker job that computed it, so a caller that needs only a
+/// summary (a lifetime, a rendered panel) never holds the whole matrix of
+/// wear maps. Outputs come back in submission order.
 ///
 /// Every worker shares the same immutable artifact store (passed by
 /// reference into the pool; values come back as `Arc` clones), so sibling
@@ -1204,25 +1218,30 @@ impl<'w> AnalyticWearEngine<'w> {
 /// [`artifacts::record_provenance`] in submission order for manifest
 /// auditing.
 #[must_use]
-pub fn run_configs_analytic(
+pub fn map_configs_analytic<T, R>(
     workload: &Workload,
     configs: &[BalanceConfig],
     cfg: SimConfig,
     jobs: usize,
-) -> Vec<SimResult> {
+    reduce: R,
+) -> Vec<T>
+where
+    T: Send,
+    R: Fn(SimResult) -> T + Sync,
+{
     let outputs = fan_out(configs.to_vec(), jobs, |config, sink| {
         let mut engine = AnalyticWearEngine::new(workload, config, cfg);
         let result = match sink {
             Some(observer) => engine.result_at_with(cfg.iterations, observer),
             None => engine.result_at_with(cfg.iterations, &NullSink),
         };
-        (result, engine.artifact_use())
+        (config, engine.artifact_use(), reduce(result))
     });
     outputs
         .into_iter()
-        .map(|(result, usage)| {
-            artifacts::record_provenance(result.config.to_string(), usage);
-            result
+        .map(|(config, usage, out)| {
+            artifacts::record_provenance(config.to_string(), usage);
+            out
         })
         .collect()
 }

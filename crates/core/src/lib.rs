@@ -62,7 +62,7 @@ pub mod sim;
 pub mod sweep;
 pub mod system;
 
-pub use analytic::{run_configs_analytic, AnalyticPath, AnalyticWearEngine};
+pub use analytic::{map_configs_analytic, run_configs_analytic, AnalyticPath, AnalyticWearEngine};
 pub use artifacts::{ArtifactKind, ArtifactStore, ArtifactUse, StoreStats};
 pub use lifetime::{solve, Lifetime, LifetimeModel, SolveOutcome};
 pub use parallel::{fan_out, run_matrix, MatrixPoint};

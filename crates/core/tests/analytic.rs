@@ -13,11 +13,19 @@
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{classify, AnalyticPath, AnalyticWearEngine};
-use nvpim_core::{lifetime, ArtifactStore, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_core::{
+    artifacts, lifetime, map_configs_analytic, run_configs_analytic, ArtifactStore,
+    EnduranceSimulator, LifetimeModel, SimConfig,
+};
 use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
+use std::sync::{Mutex, PoisonError};
+
+/// Serializes the tests that fan a matrix out: each records manifest
+/// provenance into one process-wide buffer.
+static PROVENANCE: Mutex<()> = Mutex::new(());
 
 /// Asserts the analytic engine equals both simulator arms cell by cell.
 fn assert_analytic_bit_identical(
@@ -236,10 +244,11 @@ fn solve_locates_the_exact_failure_iteration() {
 
 #[test]
 fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
+    let _serial = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = SimConfig::default().with_iterations(40).with_schedule(RemapSchedule::every(9));
     let wl = DotProduct::new(ArrayDims::new(128, 8), 8, 8).build();
     let configs = BalanceConfig::all();
-    let analytic = nvpim_core::run_configs_analytic(&wl, &configs, cfg, 4);
+    let analytic = run_configs_analytic(&wl, &configs, cfg, 4);
     let simulated = EnduranceSimulator::new(cfg).run_configs_parallel(&wl, &configs, 4);
     assert_eq!(analytic.len(), simulated.len());
     let dims = wl.trace().dims();
@@ -258,6 +267,40 @@ fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
             }
         }
     }
+}
+
+#[test]
+fn map_configs_analytic_reduces_in_job_and_records_provenance_in_order() {
+    let _serial = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = SimConfig::default().with_iterations(33).with_schedule(RemapSchedule::every(7));
+    let wl = Convolution::new(ArrayDims::new(128, 16), 2, 2, 4).build();
+    let mut configs = BalanceConfig::all();
+    configs.reverse();
+    let labels: Vec<String> = configs.iter().map(ToString::to_string).collect();
+    let recorded = || -> Vec<String> {
+        artifacts::take_provenance().into_iter().map(|cell| cell.label).collect()
+    };
+    let _ = recorded();
+
+    let full = run_configs_analytic(&wl, &configs, cfg, 3);
+    assert_eq!(recorded(), labels, "run_configs_analytic provenance out of submission order");
+    let mapped = map_configs_analytic(&wl, &configs, cfg, 3, |r| r);
+    assert_eq!(recorded(), labels, "map_configs_analytic provenance out of submission order");
+    assert_eq!(mapped.len(), configs.len());
+    let dims = wl.trace().dims();
+    for (a, b) in full.iter().zip(&mapped) {
+        assert_eq!((a.config, a.iterations), (b.config, b.iterations));
+        assert_eq!(a.steps_per_iteration, b.steps_per_iteration);
+        assert_eq!(a.wear.total_reads(), b.wear.total_reads(), "{}", a.config);
+        for row in 0..dims.rows() {
+            assert_eq!(a.wear.row_writes(row), b.wear.row_writes(row), "{} row {row}", a.config);
+        }
+    }
+
+    let reduced = map_configs_analytic(&wl, &configs, cfg, 3, |r| (r.config, r.wear.max_writes()));
+    let expected: Vec<_> = full.iter().map(|r| (r.config, r.wear.max_writes())).collect();
+    assert_eq!(reduced, expected);
+    assert_eq!(recorded(), labels);
 }
 
 /// Asserts the analytic engine equals per-iteration step replay cell by

@@ -112,6 +112,17 @@ impl WorkloadSpec {
             WorkloadSpec::MatVec { .. } => "matvec",
         }
     }
+
+    /// The shape field that grows the workload's row footprint most.
+    fn size_field(&self) -> &'static str {
+        match self {
+            WorkloadSpec::Mul { .. } | WorkloadSpec::Dot { .. } | WorkloadSpec::Conv { .. } => {
+                "width"
+            }
+            WorkloadSpec::Bnn { .. } => "fan_in",
+            WorkloadSpec::MatVec { .. } => "mat_rows",
+        }
+    }
 }
 
 /// One fully normalized simulation request.
@@ -237,8 +248,13 @@ impl SimRequest {
                 validate_width(width)?;
                 let filter_rows = get_dim(&wl_doc, doc, "filter_rows", 4)?;
                 let filter_cols = get_dim(&wl_doc, doc, "filter_cols", 3)?;
-                if filter_rows == 0 || filter_cols == 0 {
-                    return Err(RequestError::new("convolution filter must be non-empty"));
+                if filter_rows < 2 || lanes % filter_rows != 0 {
+                    return Err(RequestError::new(
+                        "`filter_rows` must be at least 2 and divide the lane count",
+                    ));
+                }
+                if filter_cols == 0 {
+                    return Err(RequestError::new("`filter_cols` must be positive"));
                 }
                 WorkloadSpec::Conv { filter_rows, filter_cols, width }
             }
@@ -390,25 +406,44 @@ impl SimRequest {
     ///
     /// # Panics
     ///
-    /// [`SimRequest::from_json`] checks field types and value ranges, but
-    /// not whether the workload's operands fit the array's rows: a request
-    /// whose allocation overflows the array (e.g. 64-bit `conv` on a short
-    /// array) panics here. The server runs this under `catch_unwind` and
-    /// answers such requests with a 400.
+    /// Panics where [`SimRequest::try_build_workload`] fails.
     #[must_use]
     pub fn build_workload(&self) -> Workload {
+        self.try_build_workload().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the request's workload, checking that its operands fit the
+    /// array. [`SimRequest::from_json`] checks field types and value
+    /// ranges; whether a layout fits the rows is only known once it is
+    /// laid out, so that check lives here.
+    ///
+    /// # Errors
+    ///
+    /// A [`RequestError`] naming `rows` and the workload's size field when
+    /// the layout needs more cells than a lane of the array has. (A layout
+    /// that fits always leaves the spare row `+Hw` reserves.)
+    pub fn try_build_workload(&self) -> Result<Workload, RequestError> {
         let dims = ArrayDims::new(self.rows, self.lanes);
-        match self.workload {
-            WorkloadSpec::Mul { width } => ParallelMul::new(dims, width).build(),
-            WorkloadSpec::Dot { elements, width } => DotProduct::new(dims, elements, width).build(),
+        let built = match self.workload {
+            WorkloadSpec::Mul { width } => ParallelMul::new(dims, width).try_build(),
+            WorkloadSpec::Dot { elements, width } => {
+                DotProduct::new(dims, elements, width).try_build()
+            }
             WorkloadSpec::Conv { filter_rows, filter_cols, width } => {
-                Convolution::new(dims, filter_rows, filter_cols, width).build()
+                Convolution::new(dims, filter_rows, filter_cols, width).try_build()
             }
-            WorkloadSpec::Bnn { fan_in } => BnnLayer::new(dims, fan_in).build(),
+            WorkloadSpec::Bnn { fan_in } => BnnLayer::new(dims, fan_in).try_build(),
             WorkloadSpec::MatVec { mat_rows, elements, width } => {
-                MatVec::new(dims, mat_rows, elements, width).build()
+                MatVec::new(dims, mat_rows, elements, width).try_build()
             }
-        }
+        };
+        built.map_err(|e| {
+            RequestError::new(format!(
+                "`rows` = {} is too few: {e} (raise `rows` or lower `{}`)",
+                self.rows,
+                self.workload.size_field(),
+            ))
+        })
     }
 }
 
@@ -579,6 +614,29 @@ mod tests {
             let req = parse(body);
             let wl = req.build_workload();
             assert!(wl.trace().rows_used() <= req.rows, "{body}");
+        }
+    }
+
+    #[test]
+    fn oversized_workloads_fail_to_build_naming_the_field() {
+        for (body, field) in [
+            (r#"{"workload": {"kind": "bnn", "fan_in": 512}, "rows": 64}"#, "`fan_in`"),
+            (r#"{"workload": {"kind": "conv", "width": 64}, "rows": 128, "lanes": 8}"#, "`width`"),
+            (
+                r#"{"workload": {"kind": "matvec", "mat_rows": 64, "width": 32}, "rows": 64}"#,
+                "`mat_rows`",
+            ),
+        ] {
+            let err = parse(body).try_build_workload().expect_err(body);
+            assert!(err.message.contains("`rows`"), "{body}: {}", err.message);
+            assert!(err.message.contains(field), "{body}: {}", err.message);
+        }
+        for body in [
+            r#"{"workload": {"kind": "conv", "filter_rows": 1}}"#,
+            r#"{"workload": {"kind": "conv", "filter_rows": 3}, "lanes": 64}"#,
+        ] {
+            let err = SimRequest::from_str(body).expect_err(body);
+            assert!(err.message.contains("`filter_rows`"), "{body}: {}", err.message);
         }
     }
 }

@@ -43,7 +43,7 @@ use nvpim_obs::{
 use crate::cache::ResultCache;
 use crate::hash::key_hex;
 use crate::http::{self, HttpRequest};
-use crate::request::SimRequest;
+use crate::request::{RequestError, SimRequest};
 use crate::wire;
 
 /// Maximum number of cells accepted by one `/batch` request.
@@ -574,10 +574,10 @@ fn execute(
         span.attr_str("config", &request.config.to_string());
         span.attr_u64("iterations", request.iterations);
     }
-    let run = catch_unwind(AssertUnwindSafe(|| {
+    let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, RequestError> {
         let cfg = request.sim_config();
-        let workload = request.build_workload();
-        if request.series {
+        let workload = request.try_build_workload()?;
+        Ok(if request.series {
             let result = EnduranceSimulator::new(cfg).run_with(&workload, request.config, &local);
             (wire::result_body(request, &result), None)
         } else {
@@ -585,11 +585,12 @@ fn execute(
             let path = engine.path();
             let result = engine.result_at_with(cfg.iterations, &local);
             (wire::result_body(request, &result), Some((path, engine.artifact_use())))
-        }
+        })
     }));
     drop(span);
     let (body, analytic_path) = match run {
-        Ok(outcome) => outcome,
+        Ok(Ok(outcome)) => outcome,
+        Ok(Err(e)) => return Err(e.message),
         Err(_) => return Err("simulation rejected the parameter combination".to_owned()),
     };
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -5,7 +5,9 @@
 //! Whatever bytes or JSON a client sends, both must answer with a typed
 //! rejection — an `HttpError` carrying 400/413/431, an I/O error, or a
 //! `RequestError` — and never panic. Every request they do accept must
-//! canonicalize stably: its canonical text re-parses to the same cache key.
+//! canonicalize stably: its canonical text re-parses to the same cache key,
+//! and must build its workload without panicking: either the layout fits
+//! the array or the build is a `RequestError` naming the fields to change.
 //!
 //! Cases are deterministic per test (set `PROPTEST_SEED` to vary them,
 //! `PROPTEST_CASES` to run more).
@@ -509,6 +511,61 @@ proptest! {
         }
         if let Ok(request) = SimRequest::from_json(&doc) {
             assert_canonical_round_trip(&request);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every accepted request builds without panicking, on arrays short
+    /// and narrow enough that wide operands and large fan-ins overflow
+    /// them: a workload that fits the rows its configuration leaves (one
+    /// fewer under `+Hw`), or a `RequestError` naming `rows` and the
+    /// workload's size field.
+    #[test]
+    fn accepted_requests_build_or_name_the_field(
+        kind in 0usize..5,
+        rows in 4u64..300,
+        lanes in 2u64..80,
+        width in 2u64..65,
+        elements_log in 1u32..7,
+        filter in (0u64..6, 0u64..5),
+        fan_in in 2u64..600,
+        mat_rows in 1u64..12,
+        config in 0usize..18,
+    ) {
+        const KINDS: [&str; 5] = ["mul", "dot", "conv", "bnn", "matvec"];
+        const SIZE_FIELDS: [&str; 5] = ["width", "width", "width", "fan_in", "mat_rows"];
+        let config = nvpim_balance::BalanceConfig::all()[config];
+        let workload = Json::object()
+            .with("kind", KINDS[kind])
+            .with("rows", rows)
+            .with("lanes", lanes)
+            .with("width", width)
+            .with("elements", 1u64 << elements_log)
+            .with("filter_rows", filter.0)
+            .with("filter_cols", filter.1)
+            .with("fan_in", fan_in)
+            .with("mat_rows", mat_rows);
+        let doc = Json::object()
+            .with("workload", workload)
+            .with("config", config.to_string())
+            .with("iterations", 3u64);
+        if let Ok(request) = SimRequest::from_json(&doc) {
+            let built = std::panic::catch_unwind(|| request.try_build_workload())
+                .unwrap_or_else(|_| panic!("{} panicked while building", doc.render()));
+            match built {
+                Ok(wl) => {
+                    let available = rows as usize - usize::from(config.hw);
+                    prop_assert!(wl.trace().rows_used() <= available, "{}", doc.render());
+                }
+                Err(e) => {
+                    prop_assert!(e.message.contains("`rows`"), "{}", e.message);
+                    let field = format!("`{}`", SIZE_FIELDS[kind]);
+                    prop_assert!(e.message.contains(&field), "{}", e.message);
+                }
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 use nvpim_array::{ArrayDims, LaneSet};
 use nvpim_logic::circuits;
 
-use crate::{AllocPolicy, Workload, WorkloadBuilder};
+use crate::{AllocPolicy, LayoutError, Workload, WorkloadBuilder};
 
 /// Builder for the BNN-layer workload: each lane computes one output
 /// neuron over `fan_in` binary activations and weights.
@@ -74,8 +74,22 @@ impl BnnLayer {
     }
 
     /// Builds the workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout needs more cells than a lane provides.
     #[must_use]
     pub fn build(self) -> Workload {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BnnLayer::build`], with a layout that does not fit the array's rows
+    /// reported as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    pub fn try_build(self) -> Result<Workload, LayoutError> {
         let lanes = self.dims.lanes();
         let mut wb = WorkloadBuilder::new(self.dims).with_alloc_policy(self.policy);
         let all = wb.add_class(LaneSet::full(lanes));
@@ -87,7 +101,7 @@ impl BnnLayer {
         let fire = wb.compute(all, |cb| circuits::greater_equal(cb, &count, &threshold));
         wb.pin_results(&[fire], all);
         wb.readout(&[fire], all);
-        wb.finish(&format!("bnn{}", self.fan_in))
+        wb.try_finish(&format!("bnn{}", self.fan_in))
     }
 
     /// Input closure: lane `l` gets activation bits `activations[l]` and

@@ -23,6 +23,24 @@ enum Event {
     Transfer { src: BitId, dst: BitId, src_class: ClassId, dst_class: ClassId },
 }
 
+/// A layout that does not fit the array: the workload needs more cells in
+/// a lane than the array has rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayoutError {
+    /// The workload's name.
+    pub workload: String,
+    /// Cells per lane (the array's row count).
+    pub rows: usize,
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "workload {} needs cells outside its {}-cell lanes", self.workload, self.rows)
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 /// How workspace cells are assigned to intermediate logical bits.
 ///
 /// §4 of the paper allocates "1 new bit of logical memory" per gate and
@@ -155,9 +173,14 @@ impl WorkloadBuilder {
         bit
     }
 
-    /// Loads an LSB-first constant word.
+    /// Loads an LSB-first constant word; bits past the 64th are zero.
     pub fn load_const_word(&mut self, value: u64, width: usize, class: ClassId) -> Vec<BitId> {
-        (0..width).map(|i| self.load_constant((value >> i) & 1 == 1, class)).collect()
+        (0..width)
+            .map(|i| {
+                let bit = u32::try_from(i).ok().and_then(|i| value.checked_shr(i)).unwrap_or(0);
+                self.load_constant(bit & 1 == 1, class)
+            })
+            .collect()
     }
 
     /// Runs `f` against the embedded circuit builder and attributes every
@@ -237,6 +260,21 @@ impl WorkloadBuilder {
     /// result was pinned.
     #[must_use]
     pub fn finish(self, name: &str) -> Workload {
+        self.try_finish(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`WorkloadBuilder::finish`], with a layout that does not fit the
+    /// array's rows reported as a [`LayoutError`] instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no result was pinned.
+    pub fn try_finish(self, name: &str) -> Result<Workload, LayoutError> {
+        let overflow = || LayoutError { workload: name.to_owned(), rows: self.dims.rows() };
         let result_class = self.result_class.expect("workload must pin a result");
         let circuit = self.cb.build();
         let n_bits = circuit.num_bits() as usize;
@@ -278,6 +316,10 @@ impl WorkloadBuilder {
                 pinned[bit.idx()] = true;
                 next += 1;
             }
+        }
+
+        if next > self.dims.rows() {
+            return Err(overflow());
         }
 
         // Peak number of simultaneously-live workspace (non-pinned) bits —
@@ -355,12 +397,12 @@ impl WorkloadBuilder {
                 Event::Gate { index, .. } => {
                     let out = circuit.gates()[index].output();
                     if !pinned[out.idx()] {
-                        alloc.define(&mut slot, out);
+                        alloc.define(&mut slot, out).ok_or_else(overflow)?;
                     }
                 }
                 Event::Transfer { dst, .. } => {
                     if !pinned[dst.idx()] {
-                        alloc.define(&mut slot, dst);
+                        alloc.define(&mut slot, dst).ok_or_else(overflow)?;
                     }
                 }
                 Event::Write { .. } | Event::Read { .. } => {}
@@ -424,16 +466,13 @@ impl WorkloadBuilder {
             }
         }
 
-        assert!(
-            trace.rows_used() <= self.dims.rows(),
-            "layout needs {} cells but a lane has {} (workload {name})",
-            trace.rows_used(),
-            self.dims.rows()
-        );
+        if trace.rows_used() > self.dims.rows() {
+            return Err(overflow());
+        }
 
         let result_rows =
             self.result_bits.iter().map(|&b| slot[b.idx()].expect("result bit unplaced")).collect();
-        Workload::new(name.to_owned(), trace, result_rows, result_class)
+        Ok(Workload::new(name.to_owned(), trace, result_rows, result_class))
     }
 }
 
@@ -464,41 +503,40 @@ impl SlotAllocator {
         }
     }
 
-    fn alloc(&mut self) -> usize {
+    /// A free workspace cell, or `None` when the lane has none left.
+    fn alloc(&mut self) -> Option<usize> {
         match self.policy {
             AllocPolicy::LowestFirst => match self.free.pop() {
-                Some(Reverse(s)) => s,
-                None => {
-                    assert!(
-                        self.next_fresh < self.region_end,
-                        "workload needs more workspace cells than the lane provides"
-                    );
+                Some(Reverse(s)) => Some(s),
+                None if self.next_fresh < self.region_end => {
                     let s = self.next_fresh;
                     self.next_fresh += 1;
-                    s
+                    Some(s)
                 }
+                None => None,
             },
             AllocPolicy::Windowed | AllocPolicy::FullLane => {
                 let len = self.live.len();
-                assert!(len > 0, "workload needs workspace but the lane has none left");
                 for _ in 0..len {
                     let idx = self.cursor;
                     self.cursor = (self.cursor + 1) % len;
                     if !self.live[idx] {
                         self.live[idx] = true;
-                        return self.region_start + idx;
+                        return Some(self.region_start + idx);
                     }
                 }
-                panic!("workload needs more workspace cells than the lane provides");
+                None
             }
         }
     }
 
-    /// Assigns a fresh cell to `bit` if it does not have one yet.
-    fn define(&mut self, slot: &mut [Option<usize>], bit: BitId) {
+    /// Assigns a fresh cell to `bit` if it does not have one yet; `None`
+    /// when the lane has no free cell left.
+    fn define(&mut self, slot: &mut [Option<usize>], bit: BitId) -> Option<()> {
         if slot[bit.idx()].is_none() {
-            slot[bit.idx()] = Some(self.alloc());
+            slot[bit.idx()] = Some(self.alloc()?);
         }
+        Some(())
     }
 
     /// Returns `bit`'s cell to the pool.

@@ -14,7 +14,7 @@
 use nvpim_array::{ArrayDims, LaneSet};
 use nvpim_logic::circuits;
 
-use crate::{AllocPolicy, Workload, WorkloadBuilder};
+use crate::{AllocPolicy, LayoutError, Workload, WorkloadBuilder};
 
 /// Per-lane neuron/weight pairs, one entry per filter column.
 pub type LanePairs = Vec<Vec<(u64, u64)>>;
@@ -74,11 +74,13 @@ impl Convolution {
     }
 
     /// Half of the maximum possible accumulated sum — the default BNN
-    /// threshold.
+    /// threshold, saturating at `u64::MAX` for sums wider than 64 bits.
     #[must_use]
     pub fn default_threshold(filter_rows: usize, filter_cols: usize, width: usize) -> u64 {
-        let max_val = (1u64 << width) - 1;
-        filter_rows as u64 * filter_cols as u64 * max_val * max_val / 2
+        let shift = u32::try_from(64 - width.min(64)).expect("at most 64");
+        let max_val = u128::from(u64::MAX.checked_shr(shift).unwrap_or(0));
+        let taps = filter_rows as u128 * filter_cols as u128;
+        u64::try_from(taps.saturating_mul(max_val * max_val) / 2).unwrap_or(u64::MAX)
     }
 
     /// Overrides the comparison threshold.
@@ -120,8 +122,22 @@ impl Convolution {
     }
 
     /// Builds the workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout needs more cells than a lane provides.
     #[must_use]
     pub fn build(self) -> Workload {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Convolution::build`], with a layout that does not fit the array's rows
+    /// reported as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    pub fn try_build(self) -> Result<Workload, LayoutError> {
         let lanes = self.dims.lanes();
         let group = self.filter_rows;
         let mut wb = WorkloadBuilder::new(self.dims).with_alloc_policy(self.policy);
@@ -163,7 +179,7 @@ impl Convolution {
         let out = wb.compute(sum_class, |cb| circuits::greater_equal(cb, &total, &threshold));
         wb.pin_results(&[out], sum_class);
         wb.readout(&[out], sum_class);
-        wb.finish(&format!("conv{}x{}w{}", self.filter_rows, self.filter_cols, self.width))
+        wb.try_finish(&format!("conv{}x{}w{}", self.filter_rows, self.filter_cols, self.width))
     }
 
     /// Input closure for functional execution: lane `l` receives the

@@ -9,7 +9,7 @@
 use nvpim_array::{ArrayDims, LaneSet};
 use nvpim_logic::circuits;
 
-use crate::{AllocPolicy, Workload, WorkloadBuilder};
+use crate::{AllocPolicy, LayoutError, Workload, WorkloadBuilder};
 
 /// Builder for the dot-product workload.
 ///
@@ -82,8 +82,22 @@ impl DotProduct {
     }
 
     /// Builds the workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout needs more cells than a lane provides.
     #[must_use]
     pub fn build(self) -> Workload {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DotProduct::build`], with a layout that does not fit the array's rows
+    /// reported as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    pub fn try_build(self) -> Result<Workload, LayoutError> {
         let lanes = self.dims.lanes();
         let mut wb = WorkloadBuilder::new(self.dims).with_alloc_policy(self.policy);
         let active = wb.add_class(LaneSet::range(lanes, 0, self.elements));
@@ -109,7 +123,7 @@ impl DotProduct {
         let lane0 = wb.add_class(LaneSet::range(lanes, 0, 1));
         wb.pin_results(&sum, lane0);
         wb.readout(&sum, lane0);
-        wb.finish(&format!("dot{}x{}", self.elements, self.width))
+        wb.try_finish(&format!("dot{}x{}", self.elements, self.width))
     }
 
     /// Input closure for functional execution: lane `l` holds `a[l]`,

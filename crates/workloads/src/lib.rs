@@ -46,5 +46,5 @@ pub mod matvec;
 pub mod parallel_mul;
 pub mod workload;
 
-pub use builder::{AllocPolicy, WorkloadBuilder};
+pub use builder::{AllocPolicy, LayoutError, WorkloadBuilder};
 pub use workload::Workload;

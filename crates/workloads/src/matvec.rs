@@ -12,7 +12,7 @@
 use nvpim_array::{ArrayDims, LaneSet};
 use nvpim_logic::circuits;
 
-use crate::{AllocPolicy, Workload, WorkloadBuilder};
+use crate::{AllocPolicy, LayoutError, Workload, WorkloadBuilder};
 
 /// Builder for the matrix–vector workload.
 ///
@@ -80,8 +80,22 @@ impl MatVec {
     }
 
     /// Builds the workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout needs more cells than a lane provides.
     #[must_use]
     pub fn build(self) -> Workload {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MatVec::build`], with a layout that does not fit the array's rows
+    /// reported as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    pub fn try_build(self) -> Result<Workload, LayoutError> {
         let lanes = self.dims.lanes();
         let mut wb = WorkloadBuilder::new(self.dims).with_alloc_policy(self.policy);
         let active = wb.add_class(LaneSet::range(lanes, 0, self.elements));
@@ -109,7 +123,7 @@ impl MatVec {
         let flat: Vec<_> = results.into_iter().flatten().collect();
         wb.pin_results(&flat, lane0);
         wb.readout(&flat, lane0);
-        wb.finish(&format!("matvec{}x{}w{}", self.rows, self.elements, self.width))
+        wb.try_finish(&format!("matvec{}x{}w{}", self.rows, self.elements, self.width))
     }
 
     /// Input closure: the vector `x[lane]` plus per-row matrix values

@@ -7,7 +7,7 @@
 use nvpim_array::{ArrayDims, LaneSet};
 use nvpim_logic::circuits;
 
-use crate::{AllocPolicy, Workload, WorkloadBuilder};
+use crate::{AllocPolicy, LayoutError, Workload, WorkloadBuilder};
 
 /// Builder for the parallel-multiplication workload.
 ///
@@ -70,8 +70,22 @@ impl ParallelMul {
 
     /// Builds the workload: load A and B in every lane, multiply, read the
     /// 2b-bit product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout needs more cells than a lane provides.
     #[must_use]
     pub fn build(self) -> Workload {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ParallelMul::build`], with a layout that does not fit the array's rows
+    /// reported as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the layout needs more cells than a lane provides.
+    pub fn try_build(self) -> Result<Workload, LayoutError> {
         let mut wb = WorkloadBuilder::new(self.dims).with_alloc_policy(self.policy);
         let all = wb.add_class(LaneSet::full(self.dims.lanes()));
         let a = wb.load_word(self.width, all);
@@ -81,7 +95,7 @@ impl ParallelMul {
         if self.readout {
             wb.readout(&product, all);
         }
-        wb.finish(&format!("mul{}", self.width))
+        wb.try_finish(&format!("mul{}", self.width))
     }
 
     /// An input closure for functional execution: lane `l` multiplies

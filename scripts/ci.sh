@@ -102,6 +102,16 @@ for report in table3 sweep; do
 done
 echo "ci: table3 --full and sweep --full match their golden reports"
 
+# Paper-scale golden check of the whole report: `repro all --full` (every
+# table and figure at 1024×1024 and 100 000 iterations, ~10 s on 2 cores)
+# must reproduce the recorded report byte for byte, so the extension
+# reports and the heatmaps are held at paper scale too.
+cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+    all --full --jobs 2 > "$OBS_TMP/all-full.txt"
+diff "$OBS_TMP/all-full.txt" tests/golden/all-full.txt ||
+    { echo "ci: repro all --full differs from tests/golden/all-full.txt" >&2; exit 1; }
+echo "ci: repro all --full matches its golden report"
+
 # Cross-configuration artifact reuse end to end: renders the fig14–16
 # heatmaps plus the fig17 lifetime matrix twice in one process and fails
 # unless the second pass answers from the store (artifacts.hits > 0) AND
