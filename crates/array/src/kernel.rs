@@ -290,16 +290,6 @@ impl WearKernel {
         self.redirects_per_iter
     }
 
-    /// Approximate resident size in bytes (delta panels plus tables) —
-    /// what a byte-budgeted artifact cache bills for holding this kernel.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let panel_entries = self.slot_writes.iter().map(Vec::len).sum::<usize>()
-            + self.slot_reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>());
-        panel_entries * std::mem::size_of::<u64>()
-            + (self.sw_table.len() + 2 * self.slots) * std::mem::size_of::<usize>()
-    }
-
     /// Folds one epoch of `span` iterations of a per-slot delta `panel`
     /// into `out`: `out[s] = Σ_{i=0}^{span−1} panel[E⁻ⁱ[s]]`, the total
     /// delta slot `s` receives across the epoch. `out` is fully

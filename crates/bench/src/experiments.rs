@@ -495,92 +495,6 @@ pub fn sweep_report(scale: Scale) -> String {
     out
 }
 
-/// CI reuse check: renders the fig14–17 matrix pipeline twice in one
-/// process and proves the artifact store's two contracts at once —
-/// byte-identical outputs across passes (hits return exactly what
-/// recomputation would produce) and actual sharing (`artifacts.hits`
-/// advances on the warm pass). Fig. 17 reads the improvement memo the
-/// heatmaps fill on both passes, so the warm pass's store hits all come
-/// from the heatmap reports recomputing their 54 cells. Returns the check
-/// report, or an error describing which contract broke.
-///
-/// # Errors
-///
-/// Fails if the second pass renders different bytes than the first, or if
-/// it records no artifact hits.
-pub fn reuse_check_report(scale: Scale) -> Result<String, String> {
-    use nvpim_core::artifacts;
-    let store = artifacts::global();
-    let render = || {
-        let mut out = String::new();
-        for which in ["mul", "conv", "dot"] {
-            out.push_str(&heatmap_report(which, scale));
-        }
-        out.push_str(&fig17_report(scale));
-        out
-    };
-
-    let before = store.stats().total();
-    let first = render();
-    let cold_cells = artifacts::take_provenance();
-    let cold = store.stats().total();
-    let second = render();
-    let warm_cells = artifacts::take_provenance();
-    let warm = store.stats();
-
-    if first != second {
-        return Err("reuse check failed: the second pass rendered different bytes than the first \
-             (identical inputs must produce identical figures, store hits or not)"
-            .into());
-    }
-    let warm_hits = warm.total().hits - cold.hits;
-    if warm_hits == 0 {
-        return Err("reuse check failed: the second pass recorded no artifact hits — the store \
-             is not sharing sub-computations across passes"
-            .into());
-    }
-
-    let hot_cold = cold_cells.iter().filter(|c| c.hits > 0).count();
-    let hot_warm = warm_cells.iter().filter(|c| c.hits > 0).count();
-    let mut out = String::from("== reuse check: fig14-17 matrix twice in one process ==\n");
-    out.push_str(&format!(
-        "pass 1 (cold)    {} cells, {} artifact hits, {} misses ({} cells shared work)\n",
-        cold_cells.len(),
-        cold.hits - before.hits,
-        cold.misses - before.misses,
-        hot_cold,
-    ));
-    out.push_str(&format!(
-        "pass 2 (warm)    {} cells, {} artifact hits, {} misses ({} cells shared work)\n",
-        warm_cells.len(),
-        warm_hits,
-        warm.total().misses - cold.misses,
-        hot_warm,
-    ));
-    out.push_str(&format!(
-        "outputs          byte-identical across passes ({} bytes)\n",
-        first.len()
-    ));
-    let t = warm.total();
-    out.push_str(&format!(
-        "store            {} entries, {} bytes resident, {} evictions (budget {})\n",
-        t.entries,
-        t.bytes,
-        t.evictions,
-        store.budget(),
-    ));
-    for (kind, stats) in nvpim_core::ArtifactKind::ALL.iter().zip(warm.per_kind.iter()) {
-        out.push_str(&format!(
-            "  {:<14} {} hits / {} misses, {} resident\n",
-            kind.label(),
-            stats.hits,
-            stats.misses,
-            stats.entries,
-        ));
-    }
-    Ok(out)
-}
-
 /// Extension: per-iteration energy of each benchmark on each technology,
 /// plus the energy cost of the access-aware shuffling overhead.
 #[must_use]

@@ -11,7 +11,7 @@ use nvpim_logic::opt::{PassManager, PassStatus};
 
 use crate::equiv::{self, EquivOptions};
 use crate::finding::{Finding, Report};
-use crate::{conservation, mapping, netlist, store, wearcost};
+use crate::{conservation, mapping, netlist, wearcost};
 
 /// What to check and how hard.
 #[derive(Debug, Clone)]
@@ -533,26 +533,6 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
     }
 }
 
-/// Runs the store pass: every configured [`BalanceConfig`] cross-checked
-/// for wear bit-identity with the artifact store off (reference), on
-/// (process-wide), cold, warm, and starved to a 1-byte budget. A period
-/// of 5 against `conservation_iters = 24` keeps several software epochs
-/// in play so panel and kernel artifacts are actually built and reused.
-pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
-    let workload = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
-    let cfg = SimConfig::paper()
-        .with_iterations(opts.conservation_iters)
-        .with_seed(opts.seed)
-        .with_schedule(RemapSchedule::every(5))
-        .with_read_tracking(true);
-    for &config in &opts.configs {
-        report.extend(store::verify_store_equivalence(&workload, config, cfg));
-        // Five obligations per configuration: the simulator pair, three
-        // analytic store regimes, and the eviction-leak bound.
-        report.bump_checks(5);
-    }
-}
-
 /// Runs every pass family over the full library and strategy matrix.
 ///
 /// If a process-wide [`nvpim_obs::Observer`] is installed, headline tallies
@@ -564,7 +544,6 @@ pub fn run_all(opts: &CheckOptions) -> Report {
     let _ = run_equiv_pass(opts, &mut report);
     run_mapping_pass(opts, &mut report);
     run_conservation_pass(opts, &mut report);
-    run_store_pass(opts, &mut report);
 
     if let Some(obs) = nvpim_obs::observer::current() {
         use nvpim_obs::EventSink;

@@ -22,9 +22,7 @@
 //!   layer at every epoch boundary, including the cached `row_table` fast
 //!   path and the aliasing-prone `LaneSet::permuted_into` scatter;
 //! - [`conservation`] — wear-map totals tied to the trace's static counts
-//!   through both simulator arms;
-//! - [`store`] — the content-addressed artifact store cross-checked for
-//!   bit identity with memoization on, off, and under eviction pressure.
+//!   through both simulator arms.
 //!
 //! [`driver::run_all`] orchestrates everything and aggregates a
 //! [`Report`]; a non-empty [`Report::findings`] means the tree is broken.
@@ -46,7 +44,6 @@ pub mod equiv;
 pub mod finding;
 pub mod mapping;
 pub mod netlist;
-pub mod store;
 pub mod wearcost;
 
 pub use driver::{run_all, CheckOptions};
@@ -54,13 +51,12 @@ pub use finding::{Finding, Report};
 
 /// A named verification pass over some subject universe.
 ///
-/// The five built-in families ([`netlist`], [`equiv`], [`mapping`],
-/// [`conservation`], [`store`]) are exposed as free functions for precise
-/// targeting; this trait is the uniform surface the driver and external
-/// tooling can iterate over.
+/// The four built-in families ([`netlist`], [`equiv`], [`mapping`],
+/// [`conservation`]) are exposed as free functions for precise targeting;
+/// this trait is the uniform surface the driver and external tooling can
+/// iterate over.
 pub trait Pass {
-    /// Short stable name (`netlist`, `equiv`, `mapping`, `conservation`,
-    /// `store`).
+    /// Short stable name (`netlist`, `equiv`, `mapping`, `conservation`).
     fn name(&self) -> &'static str;
 
     /// One-line description of what the pass proves.
@@ -81,9 +77,6 @@ pub struct MappingPass;
 
 /// The conservation pass as a [`Pass`] object.
 pub struct ConservationPass;
-
-/// The artifact-store equivalence pass as a [`Pass`] object.
-pub struct StorePass;
 
 impl Pass for NetlistPass {
     fn name(&self) -> &'static str {
@@ -141,20 +134,6 @@ impl Pass for ConservationPass {
     }
 }
 
-impl Pass for StorePass {
-    fn name(&self) -> &'static str {
-        "store"
-    }
-
-    fn description(&self) -> &'static str {
-        "wear bit-identical with the artifact store on, off, warm, and under eviction pressure"
-    }
-
-    fn run(&self, opts: &CheckOptions, report: &mut Report) {
-        driver::run_store_pass(opts, report);
-    }
-}
-
 /// All built-in passes, in execution order.
 #[must_use]
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
@@ -163,6 +142,5 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
         Box::new(EquivPass),
         Box::new(MappingPass),
         Box::new(ConservationPass),
-        Box::new(StorePass),
     ]
 }

@@ -67,18 +67,10 @@
 //! all 18 configurations, and each query re-asserts conservation against
 //! the trace's static counts.
 //!
-//! # Artifact reuse
-//!
-//! Engines route their expensive intermediates — the logical panels of one
-//! trace walk and compiled +Hw kernels — through [`crate::artifacts`]: a
-//! content-addressed store shared across matrix cells, sweep points, and
-//! serve requests. Sibling configurations that share a trace (all 18 do)
-//! or a row-table phase reuse each other's work;
-//! [`SimConfig::artifact_store`] disables the store, and
-//! [`AnalyticWearEngine::artifact_use`] reports how many lookups hit.
-//! Because every memoized builder is deterministic in its key, reuse is
-//! bit-identity-safe (see the `artifacts` module docs for the keying
-//! argument).
+//! Each engine builds its own intermediates — one trace walk into logical
+//! panels, and the `+Hw` kernels of the row-table phases its queries reach
+//! — and nothing is shared across engines: a trace walk or a kernel
+//! compile costs well under a millisecond even at paper scale.
 //!
 //! # Examples
 //!
@@ -97,15 +89,12 @@
 //! assert!(wear.max_writes() > 0);
 //! ```
 
-use std::sync::Arc;
-
 use nvpim_array::trace::TraceCounts;
 use nvpim_array::{ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule, Strategy};
 use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
 
-use crate::artifacts::{self, ArtifactKind, ArtifactStore, ArtifactUse, Fingerprint, StoreCtx};
 use crate::kernel::{self, LaneKeys, PendingTerms, RowVecs};
 use crate::parallel::fan_out;
 use crate::sim::{EnduranceSimulator, SimConfig, SimResult};
@@ -220,24 +209,13 @@ fn cycle_weights(n: u64, period: Option<u64>, l: u64) -> impl Iterator<Item = (u
 }
 
 /// Per-class, per-logical-row write (and read) panels of one trace walk —
-/// the table-independent core of the non-`Hw` replay, and the first artifact
-/// kind the store shares across configurations (all 18 configs of a matrix
-/// share one trace, hence one panel set).
+/// the table-independent core of the non-`Hw` replay.
 #[derive(Debug)]
 struct LogicalPanels {
     writes: Vec<Vec<u64>>,
     reads: Option<Vec<Vec<u64>>>,
     /// Per class, the logical rows with any write or read deposit.
     live: Vec<Vec<usize>>,
-}
-
-impl LogicalPanels {
-    fn approx_bytes(&self) -> usize {
-        let entries = self.writes.iter().map(Vec::len).sum::<usize>()
-            + self.reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>())
-            + self.live.iter().map(Vec::len).sum::<usize>();
-        entries * std::mem::size_of::<u64>()
-    }
 }
 
 /// Walks the trace once into [`LogicalPanels`]: an epoch with row table `T`
@@ -284,37 +262,16 @@ fn logical_panels(trace: &Trace, cfg: SimConfig) -> LogicalPanels {
     LogicalPanels { writes, reads, live }
 }
 
-/// Fetches (or builds) the trace's logical panels through the store.
-fn fetch_panels(
-    trace: &Trace,
-    cfg: SimConfig,
-    fp: Fingerprint,
-    ctx: &mut StoreCtx<'_>,
-) -> Arc<LogicalPanels> {
-    let key = artifacts::panels_key(fp, cfg.arch, cfg.track_reads);
-    ctx.get_or_build(ArtifactKind::Panels, key, || {
-        let panels = logical_panels(trace, cfg);
-        let bytes = panels.approx_bytes();
-        (panels, bytes)
-    })
-}
-
-/// Fetches (or compiles) the +Hw kernel specialized against `table`.
-fn fetch_kernel(
+/// Compiles the `+Hw` kernel specialized against `table`, counting the
+/// compile in `compiles` (booked as `sim.kernel_compiles` per query).
+fn compile_kernel(
     trace: &Trace,
     table: &[usize],
     cfg: SimConfig,
-    fp: Fingerprint,
-    ctx: &mut StoreCtx<'_>,
-) -> Arc<WearKernel> {
-    let key = artifacts::kernel_key(fp, table, cfg.arch, cfg.track_reads);
-    let kernel = ctx.get_or_build(ArtifactKind::Kernel, key, || {
-        let kernel = kernel::compile(trace, table, cfg.arch, cfg.track_reads);
-        let bytes = kernel.approx_bytes();
-        (kernel, bytes)
-    });
-    debug_assert!(kernel.matches(table), "kernel artifact keyed to the wrong table");
-    kernel
+    compiles: &mut u64,
+) -> WearKernel {
+    *compiles += 1;
+    kernel::compile(trace, table, cfg.arch, cfg.track_reads)
 }
 
 impl RowVecs {
@@ -540,7 +497,7 @@ struct StaticClosedForm {
     dims: ArrayDims,
     period: Option<u64>,
     l: u64,
-    panels: Arc<LogicalPanels>,
+    panels: LogicalPanels,
     classes: Vec<LaneSet>,
     rows: Phases,
     lanes: LanePhases,
@@ -552,12 +509,7 @@ struct StaticClosedForm {
 }
 
 impl StaticClosedForm {
-    fn new(
-        trace: &Trace,
-        panels: Arc<LogicalPanels>,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-    ) -> Self {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
         let rows = Phases::new(balance.row, dims.rows(), cfg.schedule);
         let lanes = LanePhases::new(balance.col, dims.lanes(), cfg.schedule);
@@ -565,7 +517,7 @@ impl StaticClosedForm {
             dims,
             period: cfg.schedule.period(),
             l: lcm(rows.period(), lanes.period()),
-            panels,
+            panels: logical_panels(trace, cfg),
             classes: trace.classes().to_vec(),
             rows,
             lanes,
@@ -641,14 +593,13 @@ struct HwClosedForm {
     period: Option<u64>,
     l: u64,
     classes: Vec<LaneSet>,
-    fp: Fingerprint,
     rows: Phases,
     lanes: LanePhases,
     keys: LaneKeys,
-    /// One compiled kernel per software row-table phase reached so far
-    /// (shared through the artifact store — sibling configs with the same
-    /// row strategy reuse the identical kernels).
-    kernels: Vec<Arc<WearKernel>>,
+    /// One compiled kernel per software row-table phase reached so far.
+    kernels: Vec<WearKernel>,
+    /// Kernels compiled so far.
+    compiles: u64,
     /// `Eᵖ` of each kernel: how one whole epoch advances the arrangement.
     epoch_perms: Vec<Vec<usize>>,
     /// Arrangement entering epoch `j` of a super-cycle, `j` up to the
@@ -665,7 +616,7 @@ struct HwClosedForm {
 }
 
 impl HwClosedForm {
-    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, fp: Fingerprint) -> Self {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
         let rows = Phases::new(balance.row, dims.rows() - 1, cfg.schedule);
         let lanes = LanePhases::new(balance.col, dims.lanes(), cfg.schedule);
@@ -674,11 +625,11 @@ impl HwClosedForm {
             period: cfg.schedule.period(),
             l: lcm(rows.period(), lanes.period()),
             classes: trace.classes().to_vec(),
-            fp,
             rows,
             lanes,
             keys: LaneKeys::default(),
             kernels: Vec::new(),
+            compiles: 0,
             epoch_perms: Vec::new(),
             d: vec![(0..dims.rows()).collect()],
             sums: PhaseSums::default(),
@@ -691,11 +642,11 @@ impl HwClosedForm {
 
     /// Compiles the kernels of the first `epochs` cycle epochs (`≤ L`) and
     /// the arrangements entering each of them and the next.
-    fn reach(&mut self, epochs: u64, trace: &Trace, cfg: SimConfig, ctx: &mut StoreCtx<'_>) {
+    fn reach(&mut self, epochs: u64, trace: &Trace, cfg: SimConfig) {
         let wanted = epochs.min(self.rows.period()) as usize;
         while self.kernels.len() < wanted {
             let table = self.rows.table(self.kernels.len() as u64);
-            let kernel = fetch_kernel(trace, table, cfg, self.fp, ctx);
+            let kernel = compile_kernel(trace, table, cfg, &mut self.compiles);
             if let Some(p) = self.period {
                 self.epoch_perms.push(kernel.folder().power(p));
             }
@@ -721,11 +672,11 @@ impl HwClosedForm {
         self.terms.add_hw(kernel, &self.d[j as usize], keys, span, &mut self.folded);
     }
 
-    fn query(&mut self, n: u64, trace: &Trace, cfg: SimConfig, ctx: &mut StoreCtx<'_>) -> WearMap {
+    fn query(&mut self, n: u64, trace: &Trace, cfg: SimConfig) -> WearMap {
         let (full, rem) = split_epochs(n, self.period);
         let (k, r) = (full / self.l, full % self.l);
         let whole = if k > 0 { self.l } else { r };
-        self.reach(whole.max(r + u64::from(rem > 0)), trace, cfg, ctx);
+        self.reach(whole.max(r + u64::from(rem > 0)), trace, cfg);
         while self.sums.phases < whole {
             let p = self.period.expect("whole epochs imply a finite period");
             let j = self.sums.phases;
@@ -792,7 +743,7 @@ enum LazyGroup {
 /// Monotone queries continue from the cached state.
 #[derive(Debug)]
 struct LazySw {
-    panels: Arc<LogicalPanels>,
+    panels: LogicalPanels,
     classes: Vec<LaneSet>,
     map: CombinedMap,
     done: u64,
@@ -802,13 +753,7 @@ struct LazySw {
 }
 
 impl LazySw {
-    fn new(
-        trace: &Trace,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        fp: Fingerprint,
-        ctx: &mut StoreCtx<'_>,
-    ) -> Self {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
         let group = if balance.row == Strategy::Random {
             LazyGroup::ByLanes {
@@ -822,7 +767,7 @@ impl LazySw {
             LazyGroup::ByRows { rows, vecs }
         };
         LazySw {
-            panels: fetch_panels(trace, cfg, fp, ctx),
+            panels: logical_panels(trace, cfg),
             classes: trace.classes().to_vec(),
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             done: 0,
@@ -841,7 +786,7 @@ impl LazySw {
             self.wear = WearMap::new(dims);
             self.done = 0;
         }
-        let panels = &*self.panels;
+        let panels = &self.panels;
         while self.done < n {
             let span = match cfg.schedule.period() {
                 Some(p) => (p - self.done % p).min(n - self.done),
@@ -885,8 +830,9 @@ impl LazySw {
 struct LazyHw {
     dims: ArrayDims,
     lr: u64,
-    kernels: Vec<Option<Arc<WearKernel>>>,
-    fp: Fingerprint,
+    kernels: Vec<Option<WearKernel>>,
+    /// Kernels compiled so far.
+    compiles: u64,
     scratch: kernel::EpochScratch,
     map: CombinedMap,
     wear: WearMap,
@@ -894,7 +840,7 @@ struct LazyHw {
 }
 
 impl LazyHw {
-    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, fp: Fingerprint) -> Self {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
         let lr =
             balance.row.epoch_period(dims.rows() - 1).expect("lazy Hw path requires periodic rows");
@@ -902,7 +848,7 @@ impl LazyHw {
             dims,
             lr,
             kernels: (0..lr).map(|_| None).collect(),
-            fp,
+            compiles: 0,
             scratch: kernel::EpochScratch::new(trace, cfg.track_reads),
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             wear: WearMap::new(dims),
@@ -910,14 +856,7 @@ impl LazyHw {
         }
     }
 
-    fn query(
-        &mut self,
-        trace: &Trace,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        n: u64,
-        ctx: &mut StoreCtx<'_>,
-    ) -> WearMap {
+    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
         if n < self.done {
             self.map = CombinedMap::new(balance, self.dims.rows(), self.dims.lanes(), cfg.seed);
             self.wear = WearMap::new(self.dims);
@@ -928,8 +867,8 @@ impl LazyHw {
             let span = (p - self.done % p).min(n - self.done);
             let phase = ((self.done / p) % self.lr) as usize;
             if self.kernels[phase].is_none() {
-                let table = self.map.sw_row_table().to_vec();
-                self.kernels[phase] = Some(fetch_kernel(trace, &table, cfg, self.fp, ctx));
+                let table = self.map.sw_row_table();
+                self.kernels[phase] = Some(compile_kernel(trace, table, cfg, &mut self.compiles));
             }
             let kernel = self.kernels[phase].as_ref().expect("memoized above");
             kernel::apply_kernel_epoch(
@@ -959,6 +898,17 @@ enum Backend {
     Fallback,
 }
 
+impl Backend {
+    /// `+Hw` kernels compiled so far (each at most once per row phase).
+    fn compiles(&self) -> u64 {
+        match self {
+            Backend::HwClosed(b) => b.compiles,
+            Backend::LazyHw(b) => b.compiles,
+            _ => 0,
+        }
+    }
+}
+
 /// Replay-free per-cell wear as a function of the iteration count, for one
 /// (workload, configuration) pair — bit-identical to running
 /// [`EnduranceSimulator`] for the same number of iterations.
@@ -974,15 +924,11 @@ pub struct AnalyticWearEngine<'w> {
     cfg: SimConfig,
     counts: TraceCounts,
     backend: Backend,
-    store: Option<&'w ArtifactStore>,
-    usage: ArtifactUse,
 }
 
 impl<'w> AnalyticWearEngine<'w> {
     /// Builds the engine, choosing the strongest reducible path for
-    /// `balance` under `cfg.schedule`. With [`SimConfig::artifact_store`]
-    /// enabled (the default), intermediates are shared through
-    /// [`artifacts::global`].
+    /// `balance` under `cfg.schedule`.
     ///
     /// # Panics
     ///
@@ -990,31 +936,6 @@ impl<'w> AnalyticWearEngine<'w> {
     /// available (same contract as the simulator).
     #[must_use]
     pub fn new(workload: &'w Workload, balance: BalanceConfig, cfg: SimConfig) -> Self {
-        let store = cfg.artifact_store.then(artifacts::global);
-        Self::build_with(workload, balance, cfg, store)
-    }
-
-    /// [`AnalyticWearEngine::new`] against an explicit store (the identity
-    /// suite and `nvpim-check` use private stores to exercise hit, miss,
-    /// and eviction regimes in isolation). The explicit store wins over
-    /// `cfg.artifact_store` for analytic intermediates; a fallback-path
-    /// delegation to the simulator still follows the config flag.
-    #[must_use]
-    pub fn new_with_store(
-        workload: &'w Workload,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        store: &'w ArtifactStore,
-    ) -> Self {
-        Self::build_with(workload, balance, cfg, Some(store))
-    }
-
-    fn build_with(
-        workload: &'w Workload,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        store: Option<&'w ArtifactStore>,
-    ) -> Self {
         let trace = workload.trace();
         let dims = trace.dims();
         let logical_rows = dims.rows() - usize::from(balance.hw);
@@ -1025,40 +946,18 @@ impl<'w> AnalyticWearEngine<'w> {
             trace.rows_used(),
         );
         let counts = trace.counts(cfg.arch);
-        let choice = classify_inner(balance, cfg.schedule);
-        // The trace walk for the fingerprint is only worth paying when a
-        // store can reuse it; detached engines and the fallback path (which
-        // delegates to the simulator and never issues panel lookups) skip
-        // it — keys derived from the placeholder go unused.
-        let fp = match (store, choice) {
-            (Some(_), PathChoice::Fallback) | (None, _) => Fingerprint::zero(),
-            (Some(_), _) => artifacts::trace_fingerprint(trace),
-        };
-        let mut ctx = StoreCtx::new(store);
-        let backend = match choice {
+        let backend = match classify_inner(balance, cfg.schedule) {
             PathChoice::Static => {
-                let panels = fetch_panels(trace, cfg, fp, &mut ctx);
-                Backend::Static(Box::new(StaticClosedForm::new(trace, panels, balance, cfg)))
+                Backend::Static(Box::new(StaticClosedForm::new(trace, balance, cfg)))
             }
             PathChoice::HwClosed => {
-                Backend::HwClosed(Box::new(HwClosedForm::new(trace, balance, cfg, fp)))
+                Backend::HwClosed(Box::new(HwClosedForm::new(trace, balance, cfg)))
             }
-            PathChoice::LazySw => {
-                Backend::LazySw(Box::new(LazySw::new(trace, balance, cfg, fp, &mut ctx)))
-            }
-            PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg, fp))),
+            PathChoice::LazySw => Backend::LazySw(Box::new(LazySw::new(trace, balance, cfg))),
+            PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg))),
             PathChoice::Fallback => Backend::Fallback,
         };
-        let usage = ctx.tally();
-        AnalyticWearEngine { workload, balance, cfg, counts, backend, store, usage }
-    }
-
-    /// How many artifact-store lookups this engine has answered from cache
-    /// versus built, across construction and every query so far. All zeros
-    /// when the store is disabled.
-    #[must_use]
-    pub fn artifact_use(&self) -> ArtifactUse {
-        self.usage
+        AnalyticWearEngine { workload, balance, cfg, counts, backend }
     }
 
     /// The reducibility rung this configuration landed on.
@@ -1117,9 +1016,11 @@ impl<'w> AnalyticWearEngine<'w> {
     /// [`AnalyticWearEngine::result_at`] with an explicit event sink. Each
     /// call bumps the `sim.analytic_queries` counter; non-fallback paths
     /// also book the iteration and cell-traffic counters the simulator
-    /// would have, so dashboards stay comparable.
+    /// would have, so dashboards stay comparable, plus the `+Hw` kernels
+    /// the query compiled as `sim.kernel_compiles`.
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
+        let mut compiles = 0;
         let result = match &mut self.backend {
             Backend::Fallback => {
                 let sim = EnduranceSimulator::new(self.cfg.with_iterations(iterations));
@@ -1127,17 +1028,15 @@ impl<'w> AnalyticWearEngine<'w> {
             }
             backend => {
                 let trace = self.workload.trace();
-                let mut ctx = StoreCtx::new(self.store);
+                let compiled = backend.compiles();
                 let wear = match backend {
                     Backend::Static(b) => b.query(iterations),
-                    Backend::HwClosed(b) => b.query(iterations, trace, self.cfg, &mut ctx),
+                    Backend::HwClosed(b) => b.query(iterations, trace, self.cfg),
                     Backend::LazySw(b) => b.query(self.balance, self.cfg, iterations),
-                    Backend::LazyHw(b) => {
-                        b.query(trace, self.balance, self.cfg, iterations, &mut ctx)
-                    }
+                    Backend::LazyHw(b) => b.query(trace, self.balance, self.cfg, iterations),
                     Backend::Fallback => unreachable!("handled above"),
                 };
-                self.usage.absorb(ctx.tally());
+                compiles = backend.compiles() - compiled;
                 // Same conservation cross-check as the simulator: the
                 // closed-form algebra and the trace's static counts tally
                 // the same traffic independently.
@@ -1177,6 +1076,7 @@ impl<'w> AnalyticWearEngine<'w> {
                     name: "array.cell_reads",
                     delta: result.wear.total_reads(),
                 });
+                sink.record(&Event::CounterAdd { name: "sim.kernel_compiles", delta: compiles });
             }
             sink.flush();
         }
@@ -1210,13 +1110,6 @@ pub fn run_configs_analytic(
 /// inside the worker job that computed it, so a caller that needs only a
 /// summary (a lifetime, a rendered panel) never holds the whole matrix of
 /// wear maps. Outputs come back in submission order.
-///
-/// Every worker shares the same immutable artifact store (passed by
-/// reference into the pool; values come back as `Arc` clones), so sibling
-/// cells reuse trace walks, panels, and kernels regardless of which thread
-/// evaluates them. Per-cell hit/miss tallies are buffered through
-/// [`artifacts::record_provenance`] in submission order for manifest
-/// auditing.
 #[must_use]
 pub fn map_configs_analytic<T, R>(
     workload: &Workload,
@@ -1229,19 +1122,12 @@ where
     T: Send,
     R: Fn(SimResult) -> T + Sync,
 {
-    let outputs = fan_out(configs.to_vec(), jobs, |config, sink| {
+    fan_out(configs.to_vec(), jobs, |config, sink| {
         let mut engine = AnalyticWearEngine::new(workload, config, cfg);
         let result = match sink {
             Some(observer) => engine.result_at_with(cfg.iterations, observer),
             None => engine.result_at_with(cfg.iterations, &NullSink),
         };
-        (config, engine.artifact_use(), reduce(result))
-    });
-    outputs
-        .into_iter()
-        .map(|(config, usage, out)| {
-            artifacts::record_provenance(config.to_string(), usage);
-            out
-        })
-        .collect()
+        reduce(result)
+    })
 }

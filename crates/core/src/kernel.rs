@@ -40,12 +40,9 @@
 //! epoch instead of one per iteration.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use nvpim_array::{ArchStyle, LaneSet, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{CombinedMap, HwRemapper};
-
-use crate::artifacts::{self, ArtifactKind, Fingerprint};
 
 /// The ascending lanes of `set` as contiguous `start..end` runs.
 fn lane_runs(set: &LaneSet) -> Vec<(usize, usize)> {
@@ -262,36 +259,20 @@ pub(crate) fn apply_kernel_epoch(
 
 /// Reusable compiled-replay state for one simulation run (kernel cache +
 /// scratch buffers, so steady-state epochs allocate nothing).
-///
-/// When attached to the process-wide artifact store, compiled kernels are
-/// shared by content key — the trace fingerprint, the epoch's software row
-/// table contents, and the architecture — so sibling matrix cells and
-/// repeated runs skip the symbolic trace walk entirely on a hit. The
-/// `ensure_kernel` return value (what `sim.kernel_compiles` counts) still
-/// reports *staleness events*, store hit or not, keeping its semantics
-/// independent of cache state.
 #[derive(Debug)]
 pub(crate) struct HwKernelEngine {
-    kernel: Option<Arc<WearKernel>>,
+    kernel: Option<WearKernel>,
     scratch: EpochScratch,
-    /// Trace fingerprint for store keys; `None` when the store is off.
-    trace_fp: Option<Fingerprint>,
 }
 
 impl HwKernelEngine {
-    pub(crate) fn new(trace: &Trace, track_reads: bool, use_store: bool) -> Self {
-        HwKernelEngine {
-            kernel: None,
-            scratch: EpochScratch::new(trace, track_reads),
-            trace_fp: use_store.then(|| artifacts::trace_fingerprint(trace)),
-        }
+    pub(crate) fn new(trace: &Trace, track_reads: bool) -> Self {
+        HwKernelEngine { kernel: None, scratch: EpochScratch::new(trace, track_reads) }
     }
 
     /// Makes sure the cached kernel matches the map's current software row
-    /// table, compiling one if not (or fetching an identical memoized one
-    /// from the artifact store). Returns whether the cached kernel was
-    /// stale (one staleness event — the compiled path's analogue of a
-    /// replay, regardless of whether the store absorbed the trace walk).
+    /// table, compiling one if not. Returns whether the cached kernel was
+    /// stale (one compile — the compiled path's analogue of a replay).
     pub(crate) fn ensure_kernel(
         &mut self,
         trace: &Trace,
@@ -302,20 +283,7 @@ impl HwKernelEngine {
         if self.kernel.as_ref().is_some_and(|k| k.matches(table)) {
             return false;
         }
-        let track_reads = self.scratch.tracks_reads();
-        self.kernel = Some(match self.trace_fp {
-            Some(fp) => {
-                let key = artifacts::kernel_key(fp, table, arch, track_reads);
-                let (kernel, _) =
-                    artifacts::global().get_or_insert(ArtifactKind::Kernel, key, || {
-                        let k = compile(trace, table, arch, track_reads);
-                        let bytes = k.approx_bytes();
-                        (k, bytes)
-                    });
-                kernel
-            }
-            None => Arc::new(compile(trace, table, arch, track_reads)),
-        });
+        self.kernel = Some(compile(trace, table, arch, self.scratch.tracks_reads()));
         true
     }
 

@@ -11,8 +11,6 @@
 //!   closed-form (or lazily enumerated) function of the iteration count,
 //!   bit-identical to [`sim`], with lifetime queries whose cost does not
 //!   grow with the iteration count;
-//! * [`artifacts`] — content-addressed memoization of trace walks, logical
-//!   panels, and compiled kernels, shared across matrix/sweep/serve cells;
 //! * [`lifetime`] — Eq. 4: expected array lifetime from the hottest cell's
 //!   write rate, improvement ratios between strategies (Fig. 17,
 //!   Table 3), and the analytic failure-iteration solver
@@ -50,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod artifacts;
 pub mod baseline;
 pub mod failure;
 mod kernel;
@@ -63,7 +60,6 @@ pub mod sweep;
 pub mod system;
 
 pub use analytic::{map_configs_analytic, run_configs_analytic, AnalyticPath, AnalyticWearEngine};
-pub use artifacts::{ArtifactKind, ArtifactStore, ArtifactUse, StoreStats};
 pub use lifetime::{solve, Lifetime, LifetimeModel, SolveOutcome};
 pub use parallel::{fan_out, run_matrix, MatrixPoint};
 pub use sim::{EnduranceSimulator, EpochSample, SimConfig, SimResult};

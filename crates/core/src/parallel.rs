@@ -39,13 +39,7 @@ use crate::{EnduranceSimulator, SimConfig, SimResult};
 /// are merged into the global one in submission order after all jobs join.
 ///
 /// Jobs never clone shared read-only state: the closure borrows its
-/// environment (workloads, configs) by reference across threads, and the
-/// content-addressed [`crate::artifacts`] store reached through
-/// [`crate::artifacts::global`] is one process-wide instance behind
-/// `Arc`-returning lookups, so pool workers share every memoized panel and
-/// kernel instead of rebuilding per cell. After the jobs join (with a
-/// global observer installed), the store's size and traffic are published
-/// as `artifacts.*` gauges for scrapes of `/metrics`-style exports.
+/// environment (workloads, configs) by reference across threads.
 ///
 /// When the run would execute inline anyway (one worker, one job, or a
 /// single-core machine — see [`ParallelRunner::effective_threads`]), the
@@ -77,25 +71,24 @@ where
                 f(job, Some(observer))
             };
             if runner.effective_threads(jobs.len()) <= 1 {
-                let outputs: Vec<O> =
-                    jobs.into_iter().enumerate().map(|(i, job)| traced(i, &global, job)).collect();
-                crate::artifacts::publish_gauges(&global);
-                return outputs;
+                return jobs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, job)| traced(i, &global, job))
+                    .collect();
             }
             let outputs = runner.run(jobs.into_iter().enumerate().collect(), |(i, job)| {
                 let local = Observer::collecting();
                 let out = traced(i, &local, job);
                 (out, local)
             });
-            let outputs: Vec<O> = outputs
+            outputs
                 .into_iter()
                 .map(|(out, local)| {
                     global.absorb(&local);
                     out
                 })
-                .collect();
-            crate::artifacts::publish_gauges(&global);
-            outputs
+                .collect()
         }
         None => runner.run(jobs, |job| f(job, None)),
     }

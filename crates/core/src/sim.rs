@@ -60,12 +60,6 @@ pub struct SimConfig {
     /// pure functions of the wear map, so they are bit-identical across
     /// the replayed and compiled paths; off (the default) costs nothing.
     pub epoch_series: bool,
-    /// Whether engines consult the process-wide content-addressed
-    /// [`crate::artifacts`] store for memoized trace walks, panels, and
-    /// compiled kernels. Hits return exactly what recomputation would
-    /// have produced (keys cover all determining inputs), so results are
-    /// identical either way; off exists for ablation and purity tests.
-    pub artifact_store: bool,
 }
 
 impl SimConfig {
@@ -81,7 +75,6 @@ impl SimConfig {
             track_reads: false,
             hw_kernels: true,
             epoch_series: false,
-            artifact_store: true,
         }
     }
 
@@ -133,15 +126,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_epoch_series(mut self, enabled: bool) -> Self {
         self.epoch_series = enabled;
-        self
-    }
-
-    /// Enables or disables the process-wide artifact store (on by
-    /// default; disabling forces every engine to rebuild its own
-    /// intermediates — for ablation and purity tests).
-    #[must_use]
-    pub fn with_artifact_store(mut self, enabled: bool) -> Self {
-        self.artifact_store = enabled;
         self
     }
 }
@@ -315,9 +299,8 @@ impl EnduranceSimulator {
 
         let mut acc = Accumulator::new(trace, self.cfg.track_reads);
         let mut wear = WearMap::new(dims);
-        let mut hw_engine = (map.is_dynamic() && self.cfg.hw_kernels).then(|| {
-            crate::kernel::HwKernelEngine::new(trace, self.cfg.track_reads, self.cfg.artifact_store)
-        });
+        let mut hw_engine = (map.is_dynamic() && self.cfg.hw_kernels)
+            .then(|| crate::kernel::HwKernelEngine::new(trace, self.cfg.track_reads));
 
         // Per-epoch tallies; cheap plain locals even on the disabled path.
         let mut replays = 0u64;

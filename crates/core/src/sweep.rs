@@ -12,7 +12,7 @@ use nvpim_workloads::Workload;
 
 use crate::analytic::AnalyticWearEngine;
 use crate::parallel::fan_out;
-use crate::{EnduranceSimulator, LifetimeModel, SimConfig};
+use crate::{LifetimeModel, SimConfig};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,39 +23,6 @@ pub struct SweepPoint {
     pub lifetime_iterations: f64,
     /// Lifetime improvement relative to never re-mapping.
     pub improvement_vs_never: f64,
-}
-
-/// Sweeps the re-mapping period for one workload × configuration, measuring
-/// expected lifetime at each point.
-///
-/// # Panics
-///
-/// Panics if `periods` is empty.
-#[must_use]
-pub fn remap_frequency_sweep(
-    workload: &Workload,
-    balance: BalanceConfig,
-    base: SimConfig,
-    model: LifetimeModel,
-    periods: &[u64],
-) -> Vec<SweepPoint> {
-    assert!(!periods.is_empty(), "sweep needs at least one period");
-    let never =
-        EnduranceSimulator::new(base.with_schedule(RemapSchedule::never())).run(workload, balance);
-    let never_lifetime = model.lifetime(&never).iterations;
-    periods
-        .iter()
-        .map(|&period| {
-            let cfg = base.with_schedule(RemapSchedule::every(period));
-            let result = EnduranceSimulator::new(cfg).run(workload, balance);
-            let lifetime_iterations = model.lifetime(&result).iterations;
-            SweepPoint {
-                period,
-                lifetime_iterations,
-                improvement_vs_never: lifetime_iterations / never_lifetime,
-            }
-        })
-        .collect()
 }
 
 /// The sweep's schedule list: the never-remap baseline first, then one
@@ -70,8 +37,7 @@ fn sweep_schedules(periods: &[u64]) -> Vec<RemapSchedule> {
 /// Splits the schedules into at most `effective-threads` contiguous
 /// batches so each pool job amortizes its spawn/join overhead over several
 /// sweep points — a single point can be microseconds of work, for which
-/// one-job-per-point parallelism loses to serial (`BENCH_sim.json`'s old
-/// `parallel_sweep/jobs_*` rows).
+/// one-job-per-point parallelism loses to serial.
 fn sweep_batches(schedules: Vec<RemapSchedule>, jobs: usize) -> Vec<Vec<RemapSchedule>> {
     let workers = ParallelRunner::new(jobs).effective_threads(schedules.len()).max(1);
     let batch = schedules.len().div_ceil(workers);
@@ -93,59 +59,16 @@ fn sweep_points(periods: &[u64], lifetimes: &[f64]) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// [`remap_frequency_sweep`] fanned across `jobs` worker threads (`0` =
-/// auto), bit-identical to the serial sweep.
+/// Sweeps the re-mapping period for one workload × configuration, measuring
+/// expected lifetime at each point. Each point answers through a
+/// replay-free [`AnalyticWearEngine`] (irreducible configurations fall back
+/// to the simulator inside the engine), fanned across `jobs` worker threads
+/// (`0` = auto) with results independent of the worker count.
 ///
 /// The never-remap baseline rides along as the first sweep point, and
 /// points are batched per pool job ([`sweep_batches`]); improvements are
 /// computed against the baseline after the deterministic submission-order
 /// join.
-///
-/// # Panics
-///
-/// Panics if `periods` is empty.
-#[must_use]
-pub fn remap_frequency_sweep_parallel(
-    workload: &Workload,
-    balance: BalanceConfig,
-    base: SimConfig,
-    model: LifetimeModel,
-    periods: &[u64],
-    jobs: usize,
-) -> Vec<SweepPoint> {
-    let batches = sweep_batches(sweep_schedules(periods), jobs);
-    // The trace's static counts don't depend on the schedule: one tally
-    // serves every job in the batch.
-    let counts = workload.trace().counts(base.arch);
-    let lifetimes: Vec<f64> = fan_out(batches, jobs, |batch, sink| {
-        batch
-            .into_iter()
-            .map(|schedule| {
-                let sim = EnduranceSimulator::new(base.with_schedule(schedule));
-                let result = match sink {
-                    Some(observer) => sim.run_with_counts(workload, balance, observer, counts),
-                    None => sim.run_with_counts(workload, balance, &NullSink, counts),
-                };
-                model.lifetime(&result).iterations
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    sweep_points(periods, &lifetimes)
-}
-
-/// The analytic form of [`remap_frequency_sweep_parallel`]: each sweep
-/// point answers through a replay-free [`AnalyticWearEngine`] instead of a
-/// simulator run, bit-identical to both (irreducible configurations fall
-/// back to the simulator inside the engine).
-///
-/// With the artifact store on (the [`SimConfig::artifact_store`] default),
-/// the per-period engines share sub-computations through the process-wide
-/// [`crate::artifacts`] store: the trace walk and logical panels depend
-/// only on (trace, arch), so every sweep point past the first hits, and
-/// schedule-independent kernels are reused across periods too.
 ///
 /// # Panics
 ///
@@ -203,6 +126,7 @@ pub fn saturation_period(points: &[SweepPoint], tolerance: f64) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnduranceSimulator;
     use nvpim_array::ArrayDims;
     use nvpim_workloads::parallel_mul::ParallelMul;
 
@@ -211,12 +135,13 @@ mod tests {
         // Enough iterations that even the finest period has seen many
         // epochs — the regime the paper's saturation claim is about.
         let base = SimConfig::default().with_iterations(20_000);
-        remap_frequency_sweep(
+        remap_frequency_sweep_analytic(
             &wl,
             "RaxSt".parse().unwrap(),
             base,
             LifetimeModel::mtj(),
             &[500, 100, 50, 10],
+            1,
         )
     }
 
@@ -251,48 +176,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
+    fn analytic_sweep_matches_the_simulator_at_every_period() {
         let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
         let base = SimConfig::default().with_iterations(500);
-        let balance: BalanceConfig = "RaxSt".parse().unwrap();
+        let model = LifetimeModel::mtj();
         let periods = [100u64, 50, 10];
-        let serial = remap_frequency_sweep(&wl, balance, base, LifetimeModel::mtj(), &periods);
-        for jobs in [1, 2, 8] {
-            let parallel = remap_frequency_sweep_parallel(
-                &wl,
-                balance,
-                base,
-                LifetimeModel::mtj(),
-                &periods,
-                jobs,
-            );
-            assert_eq!(serial, parallel, "sweep with {jobs} jobs diverged");
-        }
-    }
-
-    #[test]
-    fn analytic_sweep_is_bit_identical_to_serial() {
-        let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
-        let base = SimConfig::default().with_iterations(500);
-        let periods = [100u64, 50, 10];
+        let simulated = |balance, schedule| {
+            let result = EnduranceSimulator::new(base.with_schedule(schedule)).run(&wl, balance);
+            model.lifetime(&result).iterations
+        };
         // RaxSt exercises the lazy path, BsxBs the closed form, RaxSt+Hw
         // the simulator fallback — the sweep must not care.
         for name in ["RaxSt", "BsxBs", "RaxSt+Hw"] {
             let balance: BalanceConfig = name.parse().unwrap();
-            let serial = remap_frequency_sweep(&wl, balance, base, LifetimeModel::mtj(), &periods);
-            for jobs in [1, 4] {
-                let analytic = remap_frequency_sweep_analytic(
-                    &wl,
-                    balance,
-                    base,
-                    LifetimeModel::mtj(),
-                    &periods,
-                    jobs,
+            let never = simulated(balance, RemapSchedule::never());
+            let points = remap_frequency_sweep_analytic(&wl, balance, base, model, &periods, 4);
+            assert_eq!(points.len(), periods.len());
+            for (point, &period) in points.iter().zip(&periods) {
+                let lifetime = simulated(balance, RemapSchedule::every(period));
+                assert_eq!(point.period, period);
+                assert!(
+                    point.lifetime_iterations == lifetime,
+                    "{balance} every {period}: analytic {} vs simulated {lifetime}",
+                    point.lifetime_iterations
                 );
-                assert_eq!(
-                    serial, analytic,
-                    "analytic sweep for {balance} with {jobs} jobs diverged"
-                );
+                assert!(point.improvement_vs_never == lifetime / never, "{balance} every {period}");
             }
         }
     }
@@ -329,12 +237,13 @@ mod tests {
     #[should_panic(expected = "at least one period")]
     fn empty_sweep_rejected() {
         let wl = ParallelMul::new(ArrayDims::new(128, 4), 8).build();
-        let _ = remap_frequency_sweep(
+        let _ = remap_frequency_sweep_analytic(
             &wl,
             BalanceConfig::baseline(),
             SimConfig::default(),
             LifetimeModel::mtj(),
             &[],
+            1,
         );
     }
 }

@@ -14,18 +14,14 @@ use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{classify, AnalyticPath, AnalyticWearEngine};
 use nvpim_core::{
-    artifacts, lifetime, map_configs_analytic, run_configs_analytic, ArtifactStore,
-    EnduranceSimulator, LifetimeModel, SimConfig,
+    lifetime, map_configs_analytic, run_configs_analytic, EnduranceSimulator, LifetimeModel,
+    SimConfig,
 };
+use nvpim_obs::Observer;
 use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
-use std::sync::{Mutex, PoisonError};
-
-/// Serializes the tests that fan a matrix out: each records manifest
-/// provenance into one process-wide buffer.
-static PROVENANCE: Mutex<()> = Mutex::new(());
 
 /// Asserts the analytic engine equals both simulator arms cell by cell.
 fn assert_analytic_bit_identical(
@@ -244,7 +240,6 @@ fn solve_locates_the_exact_failure_iteration() {
 
 #[test]
 fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
-    let _serial = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = SimConfig::default().with_iterations(40).with_schedule(RemapSchedule::every(9));
     let wl = DotProduct::new(ArrayDims::new(128, 8), 8, 8).build();
     let configs = BalanceConfig::all();
@@ -270,23 +265,18 @@ fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
 }
 
 #[test]
-fn map_configs_analytic_reduces_in_job_and_records_provenance_in_order() {
-    let _serial = PROVENANCE.lock().unwrap_or_else(PoisonError::into_inner);
+fn map_configs_analytic_reduces_in_job_and_returns_results_in_submission_order() {
     let cfg = SimConfig::default().with_iterations(33).with_schedule(RemapSchedule::every(7));
     let wl = Convolution::new(ArrayDims::new(128, 16), 2, 2, 4).build();
     let mut configs = BalanceConfig::all();
     configs.reverse();
-    let labels: Vec<String> = configs.iter().map(ToString::to_string).collect();
-    let recorded = || -> Vec<String> {
-        artifacts::take_provenance().into_iter().map(|cell| cell.label).collect()
-    };
-    let _ = recorded();
 
     let full = run_configs_analytic(&wl, &configs, cfg, 3);
-    assert_eq!(recorded(), labels, "run_configs_analytic provenance out of submission order");
+    let order: Vec<_> = full.iter().map(|r| r.config).collect();
+    assert_eq!(order, configs, "run_configs_analytic results out of submission order");
     let mapped = map_configs_analytic(&wl, &configs, cfg, 3, |r| r);
-    assert_eq!(recorded(), labels, "map_configs_analytic provenance out of submission order");
-    assert_eq!(mapped.len(), configs.len());
+    let order: Vec<_> = mapped.iter().map(|r| r.config).collect();
+    assert_eq!(order, configs, "map_configs_analytic results out of submission order");
     let dims = wl.trace().dims();
     for (a, b) in full.iter().zip(&mapped) {
         assert_eq!((a.config, a.iterations), (b.config, b.iterations));
@@ -300,7 +290,6 @@ fn map_configs_analytic_reduces_in_job_and_records_provenance_in_order() {
     let reduced = map_configs_analytic(&wl, &configs, cfg, 3, |r| (r.config, r.wear.max_writes()));
     let expected: Vec<_> = full.iter().map(|r| (r.config, r.wear.max_writes())).collect();
     assert_eq!(reduced, expected);
-    assert_eq!(recorded(), labels);
 }
 
 /// Asserts the analytic engine equals per-iteration step replay cell by
@@ -405,18 +394,71 @@ fn paper_matrix_classifies_24_closed_21_lazy_9_fallback() {
 fn hw_closed_form_compiles_only_the_kernels_a_query_reaches() {
     // Byte-shifted rows beside the spare row cycle through 128 tables. A
     // 20-epoch query compiles the 20 kernels it uses; one spanning whole
-    // super-cycles needs all 128, and no more.
+    // super-cycles needs all 128, and no more. The closed form (`Bs`
+    // lanes) and the lazy rung (`Ra` lanes) both memoize per row phase.
     let wl = ParallelMul::new(ArrayDims::new(1024, 8), 8).build();
     let cfg = SimConfig::default().with_schedule(RemapSchedule::every(100));
-    let store = ArtifactStore::new(64 << 20);
-    let balance: BalanceConfig = "BsxBs+Hw".parse().unwrap();
-    let mut engine = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &store);
-    let lookups = |engine: &AnalyticWearEngine<'_>| {
-        let used = engine.artifact_use();
-        used.hits + used.misses
+    for (name, path) in [("BsxBs+Hw", AnalyticPath::ClosedForm), ("BsxRa+Hw", AnalyticPath::Lazy)] {
+        let balance: BalanceConfig = name.parse().unwrap();
+        let mut engine = AnalyticWearEngine::new(&wl, balance, cfg);
+        assert_eq!(engine.path(), path, "{balance}");
+        let observer = Observer::collecting();
+        let compiles = || observer.snapshot().counter("sim.kernel_compiles");
+        let _ = engine.result_at_with(2_000, &observer);
+        assert_eq!(compiles(), Some(20), "{balance}");
+        let _ = engine.result_at_with(30_000, &observer);
+        assert_eq!(compiles(), Some(128), "{balance}");
+    }
+}
+
+/// Deterministic LCG over shapes, schedules, read tracking, seeds, and
+/// configurations: every sampled cell's analytic wear map must equal the
+/// simulator's.
+#[test]
+fn fuzzed_cells_match_the_simulator() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
     };
-    let _ = engine.wear_at(2_000);
-    assert_eq!(lookups(&engine), 20);
-    let _ = engine.wear_at(30_000);
-    assert_eq!(lookups(&engine), 128);
+    let configs = BalanceConfig::all();
+    for trial in 0..12 {
+        let rows = 128 << (next() % 2); // 128, 256
+        let lanes = 4 << (next() % 3); // 4, 8, 16
+        let width = 4 + (next() % 5) as usize; // 4..=8-bit operands
+        let iterations = 1 + next() % 40;
+        let period = 1 + next() % 12;
+        let balance = configs[(next() % configs.len() as u64) as usize];
+        // An unused draw, so the trials keep sampling the same cells.
+        let _ = next();
+        let dims = ArrayDims::new(rows as usize, lanes as usize);
+        let wl: Workload = if next() % 2 == 0 {
+            ParallelMul::new(dims, width).build()
+        } else {
+            // DotProduct needs a power-of-two element count ≤ lane count.
+            let elements = if lanes >= 8 && next() % 2 == 1 { 8 } else { 4 };
+            DotProduct::new(dims, elements, 8).build()
+        };
+        let cfg = SimConfig::paper()
+            .with_iterations(iterations)
+            .with_schedule(RemapSchedule::every(period))
+            .with_read_tracking(next() % 2 == 0)
+            .with_seed(next());
+        let label = format!("trial {trial}: {balance} {rows}x{lanes} i={iterations} p={period}");
+
+        let mut engine = AnalyticWearEngine::new(&wl, balance, cfg);
+        let analytic = engine.wear_at(cfg.iterations);
+        let simulated = EnduranceSimulator::new(cfg).run(&wl, balance).wear;
+        for row in 0..dims.rows() {
+            for lane in 0..dims.lanes() {
+                assert_eq!(
+                    (analytic.writes_at(row, lane), analytic.reads_at(row, lane)),
+                    (simulated.writes_at(row, lane), simulated.reads_at(row, lane)),
+                    "{label} [{}]: wear diverges at ({row},{lane})",
+                    engine.path()
+                );
+            }
+        }
+    }
 }

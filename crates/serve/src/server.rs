@@ -126,9 +126,6 @@ impl ServeState {
         metrics.gauge("serve.in_flight").set(self.in_flight.load(Ordering::SeqCst) as f64);
         metrics.gauge("serve.workers").set(self.workers as f64);
         metrics.gauge("serve.queue_depth").set(self.queue_depth as f64);
-        // Artifact-store size and traffic (`artifacts.*`), so `/metrics`
-        // shows how much of the batch path's work is being shared.
-        nvpim_core::artifacts::publish_gauges(&self.observer);
     }
 }
 
@@ -584,7 +581,7 @@ fn execute(
             let mut engine = AnalyticWearEngine::new(&workload, request.config, cfg);
             let path = engine.path();
             let result = engine.result_at_with(cfg.iterations, &local);
-            (wire::result_body(request, &result), Some((path, engine.artifact_use())))
+            (wire::result_body(request, &result), Some(path))
         })
     }));
     drop(span);
@@ -599,11 +596,8 @@ fn execute(
     state.cache.lock().expect("cache poisoned").insert(key, request.canonical_text(), body.clone());
     if let Some(dir) = &state.manifest_dir {
         let mut config = request.canonical_json();
-        if let Some((path, usage)) = analytic_path {
-            config = config.with("analytic_path", path.label()).with(
-                "artifacts",
-                Json::object().with("hits", usage.hits).with("misses", usage.misses),
-            );
+        if let Some(path) = analytic_path {
+            config = config.with("analytic_path", path.label());
         }
         let manifest = RunManifest::new(&format!("serve:{}", request.workload.kind()))
             .with_config(config)

@@ -360,6 +360,10 @@ fn metrics_expose_server_fields_and_prometheus_text() {
     assert!(serve.get("in_flight").and_then(Json::as_u64).is_some(), "in-flight gauge exposed");
     // This very request is in flight while the snapshot is taken.
     assert!(serve.get("in_flight").and_then(Json::as_u64).unwrap() >= 1);
+    let Some(Json::Obj(registry)) = doc.get("metrics") else { panic!("metric registry") };
+    assert!(registry.contains_key("serve.requests.simulate"));
+    let stray: Vec<_> = registry.keys().filter(|name| name.starts_with("artifacts.")).collect();
+    assert!(stray.is_empty(), "no artifact-store metrics: {stray:?}");
 
     // Prometheus text: parses through the repo's own checker and carries
     // the hit/miss-labeled latency family plus the server gauges.
@@ -372,6 +376,7 @@ fn metrics_expose_server_fields_and_prometheus_text() {
     assert!(text.contains("# TYPE nvpim_serve_requests_total counter"));
     assert!(text.contains("nvpim_serve_uptime_s"));
     assert!(text.contains("nvpim_serve_in_flight"));
+    assert!(!text.contains("nvpim_artifacts"), "no artifact-store families");
     assert!(
         text.contains("nvpim_serve_latency_us_simulate_bucket{cache=\"hit\""),
         "hit-labeled latency family present"
@@ -529,10 +534,14 @@ fn disk_cache_and_manifests_survive_a_server_restart() {
     let manifest_path = dir.join("manifests").join(format!("{key}.manifest.json"));
     let manifest = std::fs::read_to_string(&manifest_path).expect("run manifest written");
     assert!(manifest.contains("serve:mul"));
-    assert!(
-        manifest.contains("\"analytic_path\""),
+    let doc = nvpim_obs::json::parse(&manifest).expect("manifest parses");
+    let config = doc.get("config").expect("manifest config section");
+    assert_eq!(
+        config.get("analytic_path").and_then(Json::as_str),
+        Some("closed_form"),
         "manifest records which engine path answered: {manifest}"
     );
+    assert!(config.get("artifacts").is_none(), "no artifact-store section: {manifest}");
     assert!(dir.join("events.jsonl").is_file(), "event log written");
 
     // A restarted server over the same directory is warm immediately.

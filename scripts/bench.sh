@@ -5,7 +5,7 @@
 # Usage: scripts/bench.sh [--update] [OUT.json] [extra cargo-bench args...]
 #
 # Executes the release-mode `sim_engine`, `parallel_matrix`,
-# `matrix_reuse`, and `writes_per_op` benches
+# `obs_overhead`, and `writes_per_op` benches
 # (the vendored std-only criterion shim under compat/) and converts their
 # report lines —
 #
@@ -128,7 +128,7 @@ for f in "$out" "$serve_out"; do
     [ -f "$f" ] && cp "$f" "$tmpdir/$(basename "$f").baseline"
 done
 
-for bench in sim_engine parallel_matrix matrix_reuse writes_per_op; do
+for bench in sim_engine parallel_matrix obs_overhead writes_per_op; do
     cargo bench --offline -p nvpim-bench --bench "$bench" "$@" | tee -a "$raw"
 done
 report "$raw" "$out"

@@ -95,12 +95,13 @@ fn lane_utilization_ordering() {
 fn remap_frequency_diminishing_returns() {
     use nvpim::core::sweep;
     let wl = ParallelMul::new(ArrayDims::new(512, 16), 8).build();
-    let points = sweep::remap_frequency_sweep(
+    let points = sweep::remap_frequency_sweep_analytic(
         &wl,
         "RaxSt".parse().unwrap(),
         SimConfig::paper().with_iterations(8_000),
         LifetimeModel::mtj(),
         &[1000, 100, 10],
+        0,
     );
     let gain_coarse = points[1].lifetime_iterations / points[0].lifetime_iterations;
     let gain_fine = points[2].lifetime_iterations / points[1].lifetime_iterations;
