@@ -1,5 +1,6 @@
-//! Serial vs parallel execution of the 18-configuration balancing matrix —
-//! the speedup claim behind `repro --jobs N`.
+//! Serial vs parallel answers for the 18-configuration balancing matrix
+//! through the production analytic engine — the speedup claim behind
+//! `repro --jobs N`.
 //!
 //! On a multi-core runner the `jobs_*` entries should scale with the core
 //! count (the jobs are embarrassingly parallel); on a single core they cost
@@ -8,37 +9,37 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
-use nvpim_core::{EnduranceSimulator, SimConfig};
+use nvpim_balance::BalanceConfig;
+use nvpim_core::{run_configs_analytic, AnalyticWearEngine, SimConfig};
 use nvpim_workloads::parallel_mul::ParallelMul;
 use std::hint::black_box;
 
-fn matrix_setup() -> (nvpim_workloads::Workload, EnduranceSimulator) {
-    let workload = ParallelMul::new(ArrayDims::new(256, 16), 8).build();
-    let sim = EnduranceSimulator::new(SimConfig::default().with_iterations(60));
-    (workload, sim)
-}
-
 fn bench_matrix(c: &mut Criterion) {
-    let (workload, sim) = matrix_setup();
+    let workload = ParallelMul::new(ArrayDims::new(256, 16), 8).build();
+    let cfg = SimConfig::default().with_iterations(60);
+    let configs = BalanceConfig::all();
     let mut group = c.benchmark_group("parallel_matrix");
     // The serial-vs-jobs deltas are small relative to shared-machine
     // jitter; more samples keep the recorded medians meaningful.
     group.sample_size(40);
     group.bench_function("serial_18_configs", |b| {
-        // The serial API collects all 18 results just like the parallel
+        // The serial loop collects all 18 results just like the parallel
         // one, so the two arms differ only in execution strategy, not in
         // result-buffer lifetime.
         b.iter(|| {
-            let total: u64 =
-                sim.run_all_configs(&workload).iter().map(|r| r.wear.max_writes()).sum();
-            black_box(total)
+            let results: Vec<_> = configs
+                .iter()
+                .map(|&config| {
+                    AnalyticWearEngine::new(&workload, config, cfg).result_at(cfg.iterations)
+                })
+                .collect();
+            black_box(results.iter().map(|r| r.wear.max_writes()).sum::<u64>())
         });
     });
     for jobs in [1usize, 2, 4] {
         group.bench_function(format!("jobs_{jobs}"), |b| {
             b.iter(|| {
-                let total: u64 = sim
-                    .run_all_configs_parallel(&workload, jobs)
+                let total: u64 = run_configs_analytic(&workload, &configs, cfg, jobs)
                     .iter()
                     .map(|r| r.wear.max_writes())
                     .sum();

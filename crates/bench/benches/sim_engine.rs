@@ -1,7 +1,7 @@
-//! Design-choice ablations called out in DESIGN.md:
-//! epoch-factorized vs naive accumulation, compiled wear kernels vs
-//! per-iteration step replay on the dynamic `+Hw` path, sense-amp vs
-//! preset-output semantics, and workspace allocation policies.
+//! Design-choice ablations called out in DESIGN.md: epoch-factorized vs
+//! naive accumulation in the reference simulator, the analytic engine's
+//! queries against step replay, sense-amp vs preset-output semantics, and
+//! workspace allocation policies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::{ArchStyle, ArrayDims};
@@ -38,29 +38,12 @@ fn bench_arch_styles(c: &mut Criterion) {
         [("sense_amp", ArchStyle::SenseAmp), ("preset_output", ArchStyle::PresetOutput)]
     {
         group.bench_function(name, |b| {
-            let sim = EnduranceSimulator::new(scale.sim_config().with_arch(arch));
-            b.iter(|| black_box(sim.run(&workload, "StxSt+Hw".parse().unwrap()).wear.max_writes()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_hw_replay(c: &mut Criterion) {
-    // The epoch-compiled wear-kernel ablation: for a dynamic (+Hw)
-    // configuration the compiled path walks the trace symbolically once per
-    // software epoch and folds whole epochs over the end permutation's
-    // cycle structure in O(rows); step replay walks the trace once per
-    // iteration. At paper scale the gap is the iterations-per-epoch factor.
-    let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
-    let cfg = SimConfig::paper()
-        .with_iterations(2000)
-        .with_schedule(nvpim_balance::RemapSchedule::every(100));
-    let mut group = c.benchmark_group("hw_replay");
-    group.sample_size(10);
-    for (name, kernels) in [("compiled", true), ("step_replay", false)] {
-        group.bench_function(name, |b| {
-            let sim = EnduranceSimulator::new(cfg.with_hw_kernels(kernels));
-            b.iter(|| black_box(sim.run(&workload, "RaxRa+Hw".parse().unwrap()).wear.max_writes()));
+            let cfg = scale.sim_config().with_arch(arch);
+            let config: BalanceConfig = "StxSt+Hw".parse().unwrap();
+            b.iter(|| {
+                let mut engine = AnalyticWearEngine::new(&workload, config, cfg);
+                black_box(engine.wear_at(cfg.iterations).max_writes())
+            });
         });
     }
     group.finish();
@@ -69,8 +52,8 @@ fn bench_hw_replay(c: &mut Criterion) {
 fn bench_analytic_query(c: &mut Criterion) {
     // The replay-free engine ablation: a closed-form query costs the same
     // at any iteration count (row-vector prefix sums over the table
-    // cycle), while compiled replay folds every epoch (O(N/period)) and
-    // step replay walks the trace every iteration (O(N)). Construction —
+    // cycle), while step replay walks the trace every iteration (O(N)).
+    // Construction —
     // the symbolic trace walk the closed form starts from — is timed
     // separately (`build/*`): a lifetime solve pays it once and then
     // issues dozens of point queries, so `analytic/*` times the query on
@@ -93,24 +76,17 @@ fn bench_analytic_query(c: &mut Criterion) {
                 b.iter(|| black_box(engine.wear_at(iters).max_writes()));
             });
         }
-        for iters in [1_000u64, 100_000] {
-            group.bench_function(format!("compiled/{name}/{iters}"), |b| {
-                let sim =
-                    EnduranceSimulator::new(base.with_iterations(iters).with_hw_kernels(true));
-                b.iter(|| black_box(sim.run(&workload, config).wear.max_writes()));
-            });
-        }
     }
     // Step replay only at the smallest count — it is the O(N) baseline.
     for name in ["StxSt+Hw", "BsxBs+Hw"] {
         let config: BalanceConfig = name.parse().unwrap();
         group.bench_function(format!("step_replay/{name}/1000"), |b| {
-            let sim = EnduranceSimulator::new(base.with_iterations(1_000).with_hw_kernels(false));
+            let sim = EnduranceSimulator::new(base.with_iterations(1_000));
             b.iter(|| black_box(sim.run(&workload, config).wear.max_writes()));
         });
     }
-    // The lazy rung (Ra draws force epoch enumeration, but with zero trace
-    // walks) against the compiled simulator on the same config.
+    // The lazy rung: Ra draws force epoch enumeration, but with zero trace
+    // walks.
     let raxra: BalanceConfig = "RaxRa".parse().unwrap();
     group.bench_function("analytic/RaxRa/10000", |b| {
         let cfg = base.with_iterations(10_000);
@@ -119,12 +95,8 @@ fn bench_analytic_query(c: &mut Criterion) {
             black_box(engine.wear_at(10_000).max_writes())
         });
     });
-    group.bench_function("compiled/RaxRa/10000", |b| {
-        let sim = EnduranceSimulator::new(base.with_iterations(10_000).with_hw_kernels(true));
-        b.iter(|| black_box(sim.run(&workload, raxra).wear.max_writes()));
-    });
-    // The irreducible rung: Ra rows under +Hw delegate to the simulator,
-    // so this is a labeled control, not a speedup claim.
+    // The fallback rung: Ra rows under +Hw compile one kernel per epoch
+    // and fold it like the lazy rung.
     let fallback: BalanceConfig = "RaxRa+Hw".parse().unwrap();
     group.bench_function("fallback/RaxRa+Hw/1000", |b| {
         let cfg = base.with_iterations(1_000);
@@ -159,7 +131,6 @@ criterion_group!(
     benches,
     bench_fast_vs_naive,
     bench_arch_styles,
-    bench_hw_replay,
     bench_analytic_query,
     bench_alloc_policies
 );

@@ -322,8 +322,7 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
                 .with("analytic_queries", count("sim.analytic_queries"))
                 .with("total_cell_writes", count("array.cell_writes"))
                 .with("total_cell_reads", count("array.cell_reads"))
-                .with("remap_events", count("balance.remap_events"))
-                .with("hw_redirects", count("balance.hw_redirects")),
+                .with("remap_events", count("balance.remap_events")),
         )
         .with_observer(obs)
 }

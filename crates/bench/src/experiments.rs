@@ -787,8 +787,10 @@ mod tests {
     /// same panel and assembly functions as the analytic path.
     fn heatmap_report_replayed(which: &str, scale: Scale) -> String {
         let which = PaperWorkload::parse(which);
-        let results = EnduranceSimulator::new(scale.sim_config())
-            .run_all_configs_parallel(&which.build(scale), scale.jobs);
+        let workload = which.build(scale);
+        let sim = EnduranceSimulator::new(scale.sim_config());
+        let results: Vec<_> =
+            BalanceConfig::all().into_iter().map(|c| sim.run(&workload, c)).collect();
         let combined = Mutex::new(WearMap::new(scale.dims));
         let panels: Vec<String> = results.iter().map(|r| heatmap_cell(r, &combined)).collect();
         render_heatmaps(which, scale, &panels, &combined.into_inner().unwrap())

@@ -5,11 +5,14 @@ use std::process::Command;
 use nvpim_obs::Json;
 
 #[test]
-fn fig17_manifest_records_analytic_paths_and_no_artifact_section() {
+fn fig17_manifest_records_analytic_paths_and_every_cell_s_bookkeeping() {
+    // 200 iterations span two remap epochs (period 100), so every one of
+    // the 3 × 18 cells books its remap events.
+    let iters = 200u64;
     let path =
         std::env::temp_dir().join(format!("nvpim-repro-manifest-{}.json", std::process::id()));
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["fig17", "--iters", "4", "--jobs", "2", "--manifest"])
+        .args(["fig17", "--iters", &iters.to_string(), "--jobs", "2", "--manifest"])
         .arg(&path)
         .stdout(std::process::Stdio::null())
         .status()
@@ -27,4 +30,16 @@ fn fig17_manifest_records_analytic_paths_and_no_artifact_section() {
     assert_eq!(paths.get("StxSt").and_then(Json::as_str), Some("closed_form"));
     assert_eq!(paths.get("RaxRa+Hw").and_then(Json::as_str), Some("fallback"));
     assert!(config.get("artifacts").is_none(), "no artifact-store section: {text}");
+
+    let lifetime = manifest.get("lifetime").expect("manifest lifetime section");
+    assert_eq!(
+        lifetime.get("remap_events").and_then(Json::as_u64),
+        Some(54 * iters / 100),
+        "every cell books its remap events: {text}"
+    );
+    assert!(lifetime.get("hw_redirects").is_none(), "no partial hw_redirects tally: {text}");
+    let phases = manifest.get("phases").expect("manifest phases section");
+    for phase in ["sim.replay", "sim.scatter"] {
+        assert!(phases.get(phase).is_some(), "lazy +Hw cells book {phase}: {text}");
+    }
 }

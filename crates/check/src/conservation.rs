@@ -131,14 +131,13 @@ pub fn verify_conservation(
     findings
 }
 
-/// Proves the epoch-compiled `+Hw` kernel path is bit-identical to
-/// per-iteration step replay, and that the replay-free analytic engine
-/// agrees with both: the same workload and configuration run once with
-/// kernels enabled, once with them disabled, and once through
-/// [`AnalyticWearEngine::wear_at`], and every cell's write and read
+/// Proves the replay-free analytic engine is bit-identical to the
+/// simulator's step replay, the reference oracle: the same workload and
+/// configuration run once through [`EnduranceSimulator::run`] and once
+/// through [`AnalyticWearEngine::wear_at`], and every cell's write and read
 /// tallies — plus the lifetime-limiting maximum — must match exactly.
-/// Analytic findings name the engine path (`closed_form`, `lazy`,
-/// `fallback`) so a divergence points at the right algebra.
+/// Findings name the engine path (`closed_form`, `lazy`, `fallback`) so a
+/// divergence points at the right algebra.
 #[must_use]
 pub fn verify_kernel_equivalence(
     workload: &Workload,
@@ -147,8 +146,7 @@ pub fn verify_kernel_equivalence(
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let subject = format!("{}/{config}", workload.name());
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(workload, config);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(workload, config);
+    let replayed = EnduranceSimulator::new(cfg).run(workload, config).wear;
     let mut engine = AnalyticWearEngine::new(workload, config, cfg);
     let path = engine.path();
     let analytic = engine.wear_at(cfg.iterations);
@@ -156,66 +154,36 @@ pub fn verify_kernel_equivalence(
     let dims = workload.trace().dims();
     let mut divergent = 0usize;
     let mut first = None;
-    let mut analytic_divergent = 0usize;
-    let mut analytic_first = None;
     for row in 0..dims.rows() {
         for lane in 0..dims.lanes() {
-            let (cw, rw) = (compiled.wear.writes_at(row, lane), replayed.wear.writes_at(row, lane));
-            let (cr, rr) = (compiled.wear.reads_at(row, lane), replayed.wear.reads_at(row, lane));
-            if cw != rw || cr != rr {
-                divergent += 1;
-                first.get_or_insert((row, lane, cw, rw, cr, rr));
-            }
             let (aw, ar) = (analytic.writes_at(row, lane), analytic.reads_at(row, lane));
-            if aw != cw || ar != cr {
-                analytic_divergent += 1;
-                analytic_first.get_or_insert((row, lane, aw, cw, ar, cr));
+            let (rw, rr) = (replayed.writes_at(row, lane), replayed.reads_at(row, lane));
+            if aw != rw || ar != rr {
+                divergent += 1;
+                first.get_or_insert((row, lane, aw, rw, ar, rr));
             }
         }
     }
-    if let Some((row, lane, cw, rw, cr, rr)) = first {
-        findings.push(Finding::new(
-            PASS,
-            "kernel-divergence",
-            subject.clone(),
-            format!(
-                "{divergent} cell(s) differ between compiled-kernel and step-replay arms; \
-                 first at ({row},{lane}): writes {cw} vs {rw}, reads {cr} vs {rr}"
-            ),
-        ));
-    }
-    if compiled.wear.max_writes() != replayed.wear.max_writes() {
-        findings.push(Finding::new(
-            PASS,
-            "kernel-divergence",
-            subject.clone(),
-            format!(
-                "compiled-kernel max-writes {} differs from step-replay {}",
-                compiled.wear.max_writes(),
-                replayed.wear.max_writes()
-            ),
-        ));
-    }
-    if let Some((row, lane, aw, cw, ar, cr)) = analytic_first {
+    if let Some((row, lane, aw, rw, ar, rr)) = first {
         findings.push(Finding::new(
             PASS,
             "analytic-divergence",
             subject.clone(),
             format!(
-                "{analytic_divergent} cell(s) differ between the analytic engine ({path}) and \
-                 the compiled arm; first at ({row},{lane}): writes {aw} vs {cw}, reads {ar} vs {cr}"
+                "{divergent} cell(s) differ between the analytic engine ({path}) and \
+                 step replay; first at ({row},{lane}): writes {aw} vs {rw}, reads {ar} vs {rr}"
             ),
         ));
     }
-    if analytic.max_writes() != compiled.wear.max_writes() {
+    if analytic.max_writes() != replayed.max_writes() {
         findings.push(Finding::new(
             PASS,
             "analytic-divergence",
             subject,
             format!(
-                "analytic ({path}) max-writes {} differs from compiled-kernel {}",
+                "analytic ({path}) max-writes {} differs from step replay {}",
                 analytic.max_writes(),
-                compiled.wear.max_writes()
+                replayed.max_writes()
             ),
         ));
     }

@@ -20,10 +20,10 @@ fn representative_configs_conserve() {
     }
 }
 
-/// The compiled-kernel arm is bit-identical to step replay for dynamic
-/// configurations across epoch boundaries (including a partial epoch),
-/// and the analytic engine agrees with both on every reducibility rung
-/// (closed-form, lazy software, lazy hardware, and simulator fallback).
+/// The analytic engine is bit-identical to step replay across epoch
+/// boundaries (including a partial epoch) on every reducibility rung
+/// (closed-form, lazy software, lazy hardware, and the per-epoch-compile
+/// fallback).
 #[test]
 fn kernel_arms_are_equivalent_for_dynamic_configs() {
     let workload = ParallelMul::new(ArrayDims::new(128, 8), 8).build();

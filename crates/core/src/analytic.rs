@@ -56,16 +56,22 @@
 //!    O(rows) row vectors under the same keys and flush rule
 //!    ([`crate::kernel`]): a full-width class keeps one key under every
 //!    lane permutation, so only partial-width classes cost cell scatters.
-//! 3. **Fallback** ([`AnalyticPath::Fallback`]) — `Ra` rows with `Hw`: the
-//!    software table feeding the kernel compiler changes unpredictably
-//!    every epoch, so each epoch needs a fresh symbolic trace walk anyway.
-//!    Queries delegate to [`EnduranceSimulator`] (itself epoch-compiled),
-//!    and the path is labeled so callers can report it.
+//! 3. **Fallback** ([`AnalyticPath::Fallback`], one kernel compile per
+//!    epoch) — `Ra` rows with `Hw`: the software table feeding the kernel
+//!    compiler changes unpredictably every epoch, so each epoch needs a
+//!    fresh symbolic trace walk. The lazy `+Hw` backend runs it with a
+//!    one-slot kernel memo that is recompiled whenever the epoch's table
+//!    no longer matches, and folds epochs exactly as on the lazy rung.
 //!
-//! Every path is bit-identical to the simulator — the bit-identity suite
-//! (`tests/analytic.rs`) pins `analytic == compiled == step replay` across
-//! all 18 configurations, and each query re-asserts conservation against
-//! the trace's static counts.
+//! Every rung answers the per-epoch wear series
+//! ([`SimConfig::epoch_series`]) by querying at each epoch boundary in
+//! ascending order, so lazy rungs continue incrementally between samples.
+//!
+//! Every path is bit-identical to the simulator's step replay, the
+//! reference oracle — the bit-identity suites (`tests/analytic.rs`,
+//! `tests/kernels.rs`) pin `analytic == step replay` across all 18
+//! configurations, wear maps and epoch series, and each query re-asserts
+//! conservation against the trace's static counts.
 //!
 //! Each engine builds its own intermediates — one trace walk into logical
 //! panels, and the `+Hw` kernels of the row-table phases its queries reach
@@ -89,6 +95,8 @@
 //! assert!(wear.max_writes() > 0);
 //! ```
 
+use std::time::Instant;
+
 use nvpim_array::trace::TraceCounts;
 use nvpim_array::{ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule, Strategy};
@@ -97,7 +105,7 @@ use nvpim_workloads::Workload;
 
 use crate::kernel::{self, LaneKeys, PendingTerms, RowVecs};
 use crate::parallel::fan_out;
-use crate::sim::{EnduranceSimulator, SimConfig, SimResult};
+use crate::sim::{record_run_end, record_run_start, EpochSample, SimConfig, SimResult};
 
 /// Which rung of the reducibility ladder a configuration landed on — see
 /// the [module docs](self) for the criteria.
@@ -109,8 +117,8 @@ pub enum AnalyticPath {
     /// Epoch states enumerated lazily (exact RNG streams) and folded
     /// without trace walks; monotone queries advance incrementally.
     Lazy,
-    /// Irreducible (`Ra` rows with `Hw`): queries delegate to the
-    /// epoch-compiled simulator.
+    /// `Ra` rows with `Hw`: epochs enumerated like [`AnalyticPath::Lazy`],
+    /// with one kernel compile per epoch.
     Fallback,
 }
 
@@ -724,6 +732,17 @@ impl HwClosedForm {
     }
 }
 
+/// A lazy backend's running wear map as a query's answer: copied when the
+/// engine may answer again (`keep`), handed over when this is its last
+/// query (the spent backend keeps a one-cell placeholder).
+fn hand_over(wear: &mut WearMap, keep: bool) -> WearMap {
+    if keep {
+        wear.clone()
+    } else {
+        std::mem::replace(wear, WearMap::new(ArrayDims::new(1, 1)))
+    }
+}
+
 /// How [`LazySw`] groups the epochs it walks.
 #[derive(Debug)]
 enum LazyGroup {
@@ -776,7 +795,7 @@ impl LazySw {
         }
     }
 
-    fn query(&mut self, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+    fn query(&mut self, balance: BalanceConfig, cfg: SimConfig, n: u64, keep: bool) -> WearMap {
         if n < self.done {
             // Deterministic restart: re-derive the epoch sequence from the
             // seed (backwards queries are rare — sweeps ascend). Pending
@@ -817,22 +836,38 @@ impl LazySw {
             LazyGroup::ByLanes { terms, .. } => terms.flush(&mut self.wear),
             LazyGroup::ByRows { rows, vecs } => vecs.drain_into(panels, rows, &mut self.wear),
         }
-        self.wear.clone()
+        hand_over(&mut self.wear, keep)
     }
 }
 
-/// Lazy enumerator for `Hw` configs with periodic rows and `Ra` lanes:
-/// kernels are memoized per row-table phase (at most `L_row` trace walks
-/// ever), each epoch folds its kernel into row vectors and advances the
-/// arrangement exactly like the simulator's compiled path
-/// ([`kernel::apply_kernel_epoch`]); queries end with a flush.
+/// Work a `+Hw` backend has done so far: kernels compiled and, on timed
+/// lazy queries, the time spent compiling them (`sim.replay`) and folding
+/// and flushing epochs (`sim.scatter`).
+#[derive(Debug, Default, Clone, Copy)]
+struct HwWork {
+    compiles: u64,
+    replay_ns: u64,
+    scatter_ns: u64,
+}
+
+/// Nanoseconds since `timer` started, or 0 for an untimed query.
+fn elapsed_ns(timer: Option<Instant>) -> u64 {
+    timer.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Lazy enumerator for `Hw` configs with `Ra` on an axis: each epoch folds
+/// its kernel into row vectors and advances the arrangement
+/// ([`kernel::apply_kernel_epoch`]); queries end with a flush. Kernels are
+/// memoized per row-table phase and recompiled whenever the epoch's table
+/// no longer matches: periodic rows (the lazy rung, `Ra` lanes) compile at
+/// most `L_row` kernels ever, while `Ra` rows (the fallback rung) keep one
+/// slot and recompile it every epoch.
 #[derive(Debug)]
 struct LazyHw {
     dims: ArrayDims,
     lr: u64,
     kernels: Vec<Option<WearKernel>>,
-    /// Kernels compiled so far.
-    compiles: u64,
+    work: HwWork,
     scratch: kernel::EpochScratch,
     map: CombinedMap,
     wear: WearMap,
@@ -842,13 +877,12 @@ struct LazyHw {
 impl LazyHw {
     fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
-        let lr =
-            balance.row.epoch_period(dims.rows() - 1).expect("lazy Hw path requires periodic rows");
+        let lr = balance.row.epoch_period(dims.rows() - 1).unwrap_or(1);
         LazyHw {
             dims,
             lr,
             kernels: (0..lr).map(|_| None).collect(),
-            compiles: 0,
+            work: HwWork::default(),
             scratch: kernel::EpochScratch::new(trace, cfg.track_reads),
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             wear: WearMap::new(dims),
@@ -856,7 +890,15 @@ impl LazyHw {
         }
     }
 
-    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+    fn query(
+        &mut self,
+        trace: &Trace,
+        balance: BalanceConfig,
+        cfg: SimConfig,
+        n: u64,
+        timed: bool,
+        keep: bool,
+    ) -> WearMap {
         if n < self.done {
             self.map = CombinedMap::new(balance, self.dims.rows(), self.dims.lanes(), cfg.seed);
             self.wear = WearMap::new(self.dims);
@@ -865,12 +907,15 @@ impl LazyHw {
         let p = cfg.schedule.period().expect("lazy Hw path requires a finite schedule");
         while self.done < n {
             let span = (p - self.done % p).min(n - self.done);
-            let phase = ((self.done / p) % self.lr) as usize;
-            if self.kernels[phase].is_none() {
-                let table = self.map.sw_row_table();
-                self.kernels[phase] = Some(compile_kernel(trace, table, cfg, &mut self.compiles));
+            let slot = &mut self.kernels[((self.done / p) % self.lr) as usize];
+            let table = self.map.sw_row_table();
+            if !slot.as_ref().is_some_and(|k| k.matches(table)) {
+                let timer = timed.then(Instant::now);
+                *slot = Some(compile_kernel(trace, table, cfg, &mut self.work.compiles));
+                self.work.replay_ns += elapsed_ns(timer);
             }
-            let kernel = self.kernels[phase].as_ref().expect("memoized above");
+            let kernel = slot.as_ref().expect("compiled above");
+            let timer = timed.then(Instant::now);
             kernel::apply_kernel_epoch(
                 kernel,
                 trace,
@@ -879,13 +924,16 @@ impl LazyHw {
                 &mut self.wear,
                 &mut self.scratch,
             );
+            self.work.scatter_ns += elapsed_ns(timer);
             self.done += span;
             if self.done % p == 0 {
                 self.map.advance_epoch();
             }
         }
+        let timer = timed.then(Instant::now);
         self.scratch.terms.flush(&mut self.wear);
-        self.wear.clone()
+        self.work.scatter_ns += elapsed_ns(timer);
+        hand_over(&mut self.wear, keep)
     }
 }
 
@@ -895,23 +943,31 @@ enum Backend {
     HwClosed(Box<HwClosedForm>),
     LazySw(Box<LazySw>),
     LazyHw(Box<LazyHw>),
-    Fallback,
 }
 
 impl Backend {
-    /// `+Hw` kernels compiled so far (each at most once per row phase).
-    fn compiles(&self) -> u64 {
+    /// The `+Hw` work done so far (each kernel compiled at most once per
+    /// row phase, or once per epoch under `Ra` rows).
+    fn work(&self) -> HwWork {
         match self {
-            Backend::HwClosed(b) => b.compiles,
-            Backend::LazyHw(b) => b.compiles,
-            _ => 0,
+            Backend::HwClosed(b) => HwWork { compiles: b.compiles, ..HwWork::default() },
+            Backend::LazyHw(b) => b.work,
+            _ => HwWork::default(),
         }
     }
 }
 
+/// The iteration counts a series samples at: every epoch boundary
+/// `min(k·p, n)`, ascending, ending at `n` (one sample under `never()`,
+/// none for `n = 0`).
+fn sample_points(n: u64, period: Option<u64>) -> impl Iterator<Item = u64> {
+    let p = period.unwrap_or(n).max(1);
+    (1..=n.div_ceil(p)).map(move |k| (k * p).min(n))
+}
+
 /// Replay-free per-cell wear as a function of the iteration count, for one
 /// (workload, configuration) pair — bit-identical to running
-/// [`EnduranceSimulator`] for the same number of iterations.
+/// [`crate::EnduranceSimulator`] for the same number of iterations.
 ///
 /// The symbolic cost (trace walks, at most one per distinct software row
 /// table) is paid once, as queries first reach it; on the closed-form path
@@ -923,6 +979,7 @@ pub struct AnalyticWearEngine<'w> {
     balance: BalanceConfig,
     cfg: SimConfig,
     counts: TraceCounts,
+    path: AnalyticPath,
     backend: Backend,
 }
 
@@ -946,7 +1003,8 @@ impl<'w> AnalyticWearEngine<'w> {
             trace.rows_used(),
         );
         let counts = trace.counts(cfg.arch);
-        let backend = match classify_inner(balance, cfg.schedule) {
+        let choice = classify_inner(balance, cfg.schedule);
+        let backend = match choice {
             PathChoice::Static => {
                 Backend::Static(Box::new(StaticClosedForm::new(trace, balance, cfg)))
             }
@@ -954,20 +1012,17 @@ impl<'w> AnalyticWearEngine<'w> {
                 Backend::HwClosed(Box::new(HwClosedForm::new(trace, balance, cfg)))
             }
             PathChoice::LazySw => Backend::LazySw(Box::new(LazySw::new(trace, balance, cfg))),
-            PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg))),
-            PathChoice::Fallback => Backend::Fallback,
+            PathChoice::LazyHw | PathChoice::Fallback => {
+                Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg)))
+            }
         };
-        AnalyticWearEngine { workload, balance, cfg, counts, backend }
+        AnalyticWearEngine { workload, balance, cfg, counts, path: choice.path(), backend }
     }
 
     /// The reducibility rung this configuration landed on.
     #[must_use]
     pub fn path(&self) -> AnalyticPath {
-        match self.backend {
-            Backend::Static(_) | Backend::HwClosed(_) => AnalyticPath::ClosedForm,
-            Backend::LazySw(_) | Backend::LazyHw(_) => AnalyticPath::Lazy,
-            Backend::Fallback => AnalyticPath::Fallback,
-        }
+        self.path
     }
 
     /// The configuration the engine answers for.
@@ -1002,9 +1057,9 @@ impl<'w> AnalyticWearEngine<'w> {
         self.result_at_with(iterations, sink).wear
     }
 
-    /// A full [`SimResult`] at `iterations` — bit-identical wear to a
-    /// simulator run, with an empty epoch series on the analytic paths
-    /// (the fallback path honors [`SimConfig::epoch_series`]).
+    /// A full [`SimResult`] at `iterations` — bit-identical wear, and with
+    /// [`SimConfig::epoch_series`] an identical epoch series, to a
+    /// simulator run.
     #[must_use]
     pub fn result_at(&mut self, iterations: u64) -> SimResult {
         match nvpim_obs::observer::current() {
@@ -1013,74 +1068,107 @@ impl<'w> AnalyticWearEngine<'w> {
         }
     }
 
-    /// [`AnalyticWearEngine::result_at`] with an explicit event sink. Each
-    /// call bumps the `sim.analytic_queries` counter; non-fallback paths
-    /// also book the iteration and cell-traffic counters the simulator
-    /// would have, so dashboards stay comparable, plus the `+Hw` kernels
-    /// the query compiled as `sim.kernel_compiles`.
+    /// [`AnalyticWearEngine::result_at_with`] as the engine's last query:
+    /// consuming the engine lets the lazy rungs hand over their running
+    /// wear map instead of copying it.
+    #[must_use]
+    pub fn into_result_at_with<S: EventSink>(mut self, iterations: u64, sink: &S) -> SimResult {
+        self.answer(iterations, sink, false)
+    }
+
+    /// The backend's wear map after exactly `n` iterations; `keep` keeps a
+    /// lazy backend's running state for later queries.
+    fn query(&mut self, n: u64, timed: bool, keep: bool) -> WearMap {
+        let trace = self.workload.trace();
+        match &mut self.backend {
+            Backend::Static(b) => b.query(n),
+            Backend::HwClosed(b) => b.query(n, trace, self.cfg),
+            Backend::LazySw(b) => b.query(self.balance, self.cfg, n, keep),
+            Backend::LazyHw(b) => b.query(trace, self.balance, self.cfg, n, timed, keep),
+        }
+    }
+
+    /// [`AnalyticWearEngine::result_at`] with an explicit event sink. An
+    /// enabled sink sees the run's `RunStart`/`RunEnd` and epoch-series
+    /// points, the `sim.analytic_queries` counter, the iteration,
+    /// cell-traffic and remap counters the simulator would have booked, the
+    /// `+Hw` kernels the query compiled as `sim.kernel_compiles`, and — on
+    /// the lazy `+Hw` backend — the `sim.replay` (kernel compiles) and
+    /// `sim.scatter` (epoch folds and flushes) phases.
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
-        let mut compiles = 0;
-        let result = match &mut self.backend {
-            Backend::Fallback => {
-                let sim = EnduranceSimulator::new(self.cfg.with_iterations(iterations));
-                sim.run_with_counts(self.workload, self.balance, sink, self.counts)
-            }
-            backend => {
-                let trace = self.workload.trace();
-                let compiled = backend.compiles();
-                let wear = match backend {
-                    Backend::Static(b) => b.query(iterations),
-                    Backend::HwClosed(b) => b.query(iterations, trace, self.cfg),
-                    Backend::LazySw(b) => b.query(self.balance, self.cfg, iterations),
-                    Backend::LazyHw(b) => b.query(trace, self.balance, self.cfg, iterations),
-                    Backend::Fallback => unreachable!("handled above"),
-                };
-                compiles = backend.compiles() - compiled;
-                // Same conservation cross-check as the simulator: the
-                // closed-form algebra and the trace's static counts tally
-                // the same traffic independently.
-                assert_eq!(
-                    wear.total_writes(),
-                    iterations * self.counts.cell_writes,
-                    "analytic wear disagrees with trace write counts under {}",
-                    self.balance
-                );
-                if self.cfg.track_reads {
-                    assert_eq!(
-                        wear.total_reads(),
-                        iterations * self.counts.cell_reads,
-                        "analytic wear disagrees with trace read counts under {}",
-                        self.balance
-                    );
-                }
-                SimResult {
-                    wear,
-                    config: self.balance,
-                    iterations,
-                    steps_per_iteration: self.counts.sequential_steps,
-                    arch: self.cfg.arch,
-                    series: Vec::new(),
-                }
-            }
-        };
-        if sink.enabled() {
-            sink.record(&Event::CounterAdd { name: "sim.analytic_queries", delta: 1 });
-            if !matches!(self.backend, Backend::Fallback) {
-                sink.record(&Event::CounterAdd { name: "sim.iterations", delta: iterations });
-                sink.record(&Event::CounterAdd {
-                    name: "array.cell_writes",
-                    delta: result.wear.total_writes(),
-                });
-                sink.record(&Event::CounterAdd {
-                    name: "array.cell_reads",
-                    delta: result.wear.total_reads(),
-                });
-                sink.record(&Event::CounterAdd { name: "sim.kernel_compiles", delta: compiles });
-            }
-            sink.flush();
+        self.answer(iterations, sink, true)
+    }
+
+    fn answer<S: EventSink>(&mut self, iterations: u64, sink: &S, keep: bool) -> SimResult {
+        let enabled = sink.enabled();
+        let started = enabled.then(Instant::now);
+        if enabled {
+            record_run_start(sink, self.workload, self.balance, self.cfg, iterations);
         }
-        result
+        let before = self.backend.work();
+        let mut series = Vec::new();
+        let wear = if self.cfg.epoch_series {
+            let mut last = None;
+            for at in sample_points(iterations, self.cfg.schedule.period()) {
+                let wear = self.query(at, enabled, keep || at < iterations);
+                let remaps = self.cfg.schedule.events_in(at);
+                let sample = EpochSample::of(&wear, at, series.len() as u64, remaps);
+                if enabled {
+                    sample.record(sink);
+                }
+                series.push(sample);
+                last = Some(wear);
+            }
+            last.unwrap_or_else(|| self.query(iterations, enabled, keep))
+        } else {
+            self.query(iterations, enabled, keep)
+        };
+        // Same conservation cross-check as the simulator: the epoch
+        // algebra and the trace's static counts tally the same traffic
+        // independently.
+        assert_eq!(
+            wear.total_writes(),
+            iterations * self.counts.cell_writes,
+            "analytic wear disagrees with trace write counts under {}",
+            self.balance
+        );
+        if self.cfg.track_reads {
+            assert_eq!(
+                wear.total_reads(),
+                iterations * self.counts.cell_reads,
+                "analytic wear disagrees with trace read counts under {}",
+                self.balance
+            );
+        }
+        if let Some(started) = started {
+            let work = self.backend.work();
+            for (name, delta) in [
+                ("sim.analytic_queries", 1),
+                ("sim.iterations", iterations),
+                ("array.cell_writes", wear.total_writes()),
+                ("array.cell_reads", wear.total_reads()),
+                ("sim.kernel_compiles", work.compiles - before.compiles),
+                ("balance.remap_events", self.cfg.schedule.events_in(iterations)),
+            ] {
+                sink.record(&Event::CounterAdd { name, delta });
+            }
+            if matches!(self.backend, Backend::LazyHw(_)) {
+                let replay = work.replay_ns - before.replay_ns;
+                sink.record(&Event::PhaseEnd { phase: "sim.replay", ns: replay });
+                let scatter = work.scatter_ns - before.scatter_ns;
+                sink.record(&Event::PhaseEnd { phase: "sim.scatter", ns: scatter });
+            }
+            record_run_end(sink, iterations, &wear, started);
+        }
+        SimResult {
+            wear,
+            config: self.balance,
+            iterations,
+            steps_per_iteration: self.counts.sequential_steps,
+            arch: self.cfg.arch,
+            series,
+        }
     }
 
     /// Writes on the hottest cell after `iterations` iterations — the
@@ -1093,9 +1181,8 @@ impl<'w> AnalyticWearEngine<'w> {
 }
 
 /// Runs `configs` analytically across `jobs` worker threads (`0` = auto),
-/// answering each at `cfg.iterations` — the analytic counterpart of
-/// [`EnduranceSimulator::run_configs_parallel`], bit-identical to it and
-/// to the serial simulator.
+/// answering each at `cfg.iterations`, in submission order — bit-identical
+/// to running the simulator on each configuration serially.
 #[must_use]
 pub fn run_configs_analytic(
     workload: &Workload,
@@ -1123,10 +1210,10 @@ where
     R: Fn(SimResult) -> T + Sync,
 {
     fan_out(configs.to_vec(), jobs, |config, sink| {
-        let mut engine = AnalyticWearEngine::new(workload, config, cfg);
+        let engine = AnalyticWearEngine::new(workload, config, cfg);
         let result = match sink {
-            Some(observer) => engine.result_at_with(cfg.iterations, observer),
-            None => engine.result_at_with(cfg.iterations, &NullSink),
+            Some(observer) => engine.into_result_at_with(cfg.iterations, observer),
+            None => engine.into_result_at_with(cfg.iterations, &NullSink),
         };
         reduce(result)
     })

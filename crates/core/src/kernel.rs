@@ -1,5 +1,6 @@
-//! The compiled replay engine for dynamic (`+Hw`) configurations, and the
-//! row-vector accumulator every epoch-folding path shares.
+//! Compiled wear kernels for dynamic (`+Hw`) configurations, and the
+//! row-vector accumulator every epoch-folding path of the analytic engine
+//! shares.
 //!
 //! Hardware free-row renaming is a *position-based* state machine: which
 //! entries of its arrangement a trace reads, redirects, and swaps is fixed
@@ -7,7 +8,7 @@
 //! contents never feed back into the control flow. That makes one symbolic
 //! replay per software epoch sufficient:
 //!
-//! 1. **Compile** ([`HwKernelEngine::ensure_kernel`]): walk the trace once
+//! 1. **Compile** ([`compile`]): walk the trace once
 //!    against a *fresh* [`HwRemapper`] (identity arrangement), translating
 //!    rows through the epoch's software table. Record each operation's
 //!    returned slot into per-(class, slot) delta panels, plus the net slot
@@ -29,15 +30,16 @@
 //!    redirects, so the renaming state and the observability tally are
 //!    bit-identical to having replayed every iteration.
 //!
-//! Pending terms are flushed at the end of a run or query, before every
-//! epoch-series sample, and whenever the next epoch's keys could take the
-//! key count past the lane count — so the row vectors never hold more
+//! Pending terms are flushed at the end of every query (so before every
+//! epoch-series sample too), and whenever the next epoch's keys could take
+//! the key count past the lane count — so the row vectors never hold more
 //! values than the one `rows × lanes` plane they stand in for.
 //!
-//! The kernel is cached across epochs and re-validated against the software
-//! row table: static row strategies (`St`) keep one kernel for the whole
-//! run; `Ra`/`Bs` rows recompile once per epoch — still one trace walk per
-//! epoch instead of one per iteration.
+//! Kernels are memoized per software row-table phase and re-validated
+//! against the epoch's table ([`WearKernel::matches`]): periodic row
+//! strategies (`St`, `Bs`) compile each phase's kernel once; `Ra` rows
+//! draw a fresh table every epoch and recompile once per epoch — still one
+//! trace walk per epoch instead of one per iteration.
 
 use std::collections::HashMap;
 
@@ -200,10 +202,8 @@ impl PendingTerms {
     }
 }
 
-/// Reusable state for folding kernel epochs into row vectors — shared
-/// between the simulator's [`HwKernelEngine`] (which caches one kernel)
-/// and the analytic engine's lazy backend (which memoizes a kernel per
-/// software row-table phase).
+/// Reusable state for folding kernel epochs into row vectors, owned by the
+/// analytic engine's lazy `+Hw` backend.
 #[derive(Debug)]
 pub(crate) struct EpochScratch {
     pub(crate) terms: PendingTerms,
@@ -222,10 +222,6 @@ impl EpochScratch {
             arrangement: Vec::new(),
             cycle_scratch: Vec::new(),
         }
-    }
-
-    pub(crate) fn tracks_reads(&self) -> bool {
-        self.terms.vecs.reads.is_some()
     }
 }
 
@@ -257,65 +253,9 @@ pub(crate) fn apply_kernel_epoch(
     hw.add_redirects(span * kernel.redirects_per_iteration());
 }
 
-/// Reusable compiled-replay state for one simulation run (kernel cache +
-/// scratch buffers, so steady-state epochs allocate nothing).
-#[derive(Debug)]
-pub(crate) struct HwKernelEngine {
-    kernel: Option<WearKernel>,
-    scratch: EpochScratch,
-}
-
-impl HwKernelEngine {
-    pub(crate) fn new(trace: &Trace, track_reads: bool) -> Self {
-        HwKernelEngine { kernel: None, scratch: EpochScratch::new(trace, track_reads) }
-    }
-
-    /// Makes sure the cached kernel matches the map's current software row
-    /// table, compiling one if not. Returns whether the cached kernel was
-    /// stale (one compile — the compiled path's analogue of a replay).
-    pub(crate) fn ensure_kernel(
-        &mut self,
-        trace: &Trace,
-        map: &CombinedMap,
-        arch: ArchStyle,
-    ) -> bool {
-        let table = map.sw_row_table();
-        if self.kernel.as_ref().is_some_and(|k| k.matches(table)) {
-            return false;
-        }
-        self.kernel = Some(compile(trace, table, arch, self.scratch.tracks_reads()));
-        true
-    }
-
-    /// Folds one epoch of `span` iterations into pending row vectors and
-    /// advances the map's renaming state ([`apply_kernel_epoch`]); `wear`
-    /// holds the epoch only after [`HwKernelEngine::flush`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no kernel is compiled ([`HwKernelEngine::ensure_kernel`]
-    /// must run first) or the map is not dynamic.
-    pub(crate) fn apply_epoch(
-        &mut self,
-        trace: &Trace,
-        map: &mut CombinedMap,
-        span: u64,
-        wear: &mut WearMap,
-    ) {
-        let kernel = self.kernel.as_ref().expect("ensure_kernel must precede apply_epoch");
-        apply_kernel_epoch(kernel, trace, map, span, wear, &mut self.scratch);
-    }
-
-    /// Adds every pending epoch term into `wear` — before the wear map is
-    /// read, and at the end of the run.
-    pub(crate) fn flush(&mut self, wear: &mut WearMap) {
-        self.scratch.terms.flush(wear);
-    }
-}
-
 /// Symbolically replays one iteration: a fresh remapper plays the hardware
-/// stage, rows translate through the epoch's software `table`. Mirrors
-/// `Accumulator::replay` operation for operation — in particular a gate
+/// stage, rows translate through the epoch's software `table`. Mirrors the
+/// simulator's `Accumulator::replay` operation for operation — in particular a gate
 /// redirects *before* its input reads are tallied.
 pub(crate) fn compile(
     trace: &Trace,

@@ -4,13 +4,14 @@
 //! al., ISCA 2023): an instruction-level endurance simulator for digital PIM
 //! arrays, plus the analyses built on top of it.
 //!
-//! * [`sim`] — replays a workload's per-iteration trace for many iterations
-//!   under a load-balancing configuration, counting every cell write
-//!   (epoch-factorized for speed, bit-exact against naive execution);
-//! * [`analytic`] — replay-free wear evaluation: per-cell wear as a
-//!   closed-form (or lazily enumerated) function of the iteration count,
-//!   bit-identical to [`sim`], with lifetime queries whose cost does not
-//!   grow with the iteration count;
+//! * [`sim`] — the reference oracle: replays a workload's per-iteration
+//!   trace for many iterations under a load-balancing configuration,
+//!   counting every cell write (epoch-factorized, bit-exact against naive
+//!   execution);
+//! * [`analytic`] — the production engine: replay-free wear evaluation,
+//!   per-cell wear as a closed-form (or lazily enumerated) function of the
+//!   iteration count, bit-identical to [`sim`], with lifetime queries whose
+//!   cost does not grow with the iteration count;
 //! * [`lifetime`] — Eq. 4: expected array lifetime from the hottest cell's
 //!   write rate, improvement ratios between strategies (Fig. 17,
 //!   Table 3), and the analytic failure-iteration solver
@@ -32,13 +33,16 @@
 //!
 //! ```
 //! use nvpim_array::ArrayDims;
-//! use nvpim_core::{EnduranceSimulator, LifetimeModel, SimConfig};
+//! use nvpim_core::{AnalyticWearEngine, LifetimeModel, SimConfig};
 //! use nvpim_workloads::parallel_mul::ParallelMul;
 //!
 //! let workload = ParallelMul::new(ArrayDims::new(256, 32), 8).build();
-//! let sim = EnduranceSimulator::new(SimConfig::default().with_iterations(200));
-//! let baseline = sim.run(&workload, "StxSt".parse().unwrap());
-//! let balanced = sim.run(&workload, "RaxSt+Hw".parse().unwrap());
+//! let cfg = SimConfig::default();
+//! let run = |config: &str| {
+//!     AnalyticWearEngine::new(&workload, config.parse().unwrap(), cfg).result_at(200)
+//! };
+//! let baseline = run("StxSt");
+//! let balanced = run("RaxSt+Hw");
 //! let model = LifetimeModel::mtj();
 //! let improvement = model.improvement(&balanced, &baseline);
 //! assert!(improvement > 1.0);

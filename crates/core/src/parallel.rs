@@ -28,7 +28,7 @@ use nvpim_exec::ParallelRunner;
 use nvpim_obs::{observer, NullSink, Observer};
 use nvpim_workloads::Workload;
 
-use crate::{EnduranceSimulator, SimConfig, SimResult};
+use crate::{AnalyticWearEngine, SimConfig, SimResult};
 
 /// Fans independent jobs across `workers` threads (`0` = auto), returning
 /// outputs in submission order.
@@ -109,11 +109,12 @@ pub struct MatrixPoint {
     pub period: Option<u64>,
 }
 
-/// Simulates the full cartesian matrix `workloads × configs × archs ×
-/// periods` across `jobs` worker threads, returning one `(point, result)`
-/// pair per cell in row-major submission order (workload-major, then
-/// config, then arch, then period) — the same order four nested serial
-/// loops would produce, with bit-identical results.
+/// Answers the full cartesian matrix `workloads × configs × archs ×
+/// periods` through the analytic engine across `jobs` worker threads,
+/// returning one `(point, result)` pair per cell in row-major submission
+/// order (workload-major, then config, then arch, then period) — the same
+/// order four nested serial loops would produce, with bit-identical
+/// results.
 ///
 /// `base` supplies everything the matrix axes don't (iterations, seed,
 /// read tracking); each cell overrides its architecture and schedule.
@@ -156,11 +157,11 @@ pub fn run_matrix(
             Some(p) => RemapSchedule::every(p),
             None => RemapSchedule::never(),
         };
-        let sim = EnduranceSimulator::new(base.with_arch(point.arch).with_schedule(schedule));
-        let workload = &workloads[point.workload];
+        let cfg = base.with_arch(point.arch).with_schedule(schedule);
+        let engine = AnalyticWearEngine::new(&workloads[point.workload], point.config, cfg);
         let result = match sink {
-            Some(observer) => sim.run_with(workload, point.config, observer),
-            None => sim.run_with(workload, point.config, &NullSink),
+            Some(observer) => engine.into_result_at_with(cfg.iterations, observer),
+            None => engine.into_result_at_with(cfg.iterations, &NullSink),
         };
         (point, result)
     })

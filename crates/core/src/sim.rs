@@ -1,16 +1,16 @@
 //! The endurance simulator: workload × balancing configuration × iterations
-//! → per-cell write distribution.
+//! → per-cell write distribution, by replaying the trace.
 //!
 //! §4 of the paper: *"The simulation is instruction-level accurate, and each
 //! write to each memory cell is counted."* Without `Hw` the pattern within
-//! one re-compilation epoch is constant, so one iteration is simulated per
-//! epoch and scaled. With `Hw` every iteration has a different pattern, but
-//! the free-row renaming is position-based: one symbolic trace walk per
-//! epoch compiles a wear kernel (per-slot delta panels plus the iteration's
-//! slot permutation), and the whole epoch is folded over the permutation's
-//! cycle structure in O(rows) (see [`crate::kernel`]'s module docs). Both
-//! paths are bit-exact against naive execution (asserted by tests) and
-//! orders of magnitude faster.
+//! one re-compilation epoch is constant, so one iteration is replayed per
+//! epoch and scaled; with `Hw` every iteration has a different pattern, so
+//! every iteration is replayed step by step. Both are bit-exact against
+//! naive execution ([`simulate_naive`], asserted by tests).
+//!
+//! This is the reference oracle. Production answers come from the
+//! replay-free [`crate::analytic::AnalyticWearEngine`], which the
+//! bit-identity suites and `nvpim-check` compare against this step replay.
 
 use std::time::Instant;
 
@@ -19,7 +19,7 @@ use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule};
 use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
 
-use crate::parallel::fan_out;
+use crate::analytic::AnalyticWearEngine;
 
 /// Simulation parameters.
 ///
@@ -49,16 +49,12 @@ pub struct SimConfig {
     /// Whether to also accumulate per-cell *read* counts (needed only for
     /// Fig. 5b; costs extra time).
     pub track_reads: bool,
-    /// Whether dynamic (`+Hw`) maps run through the epoch-compiled wear
-    /// kernel (one symbolic trace walk per epoch, folded in O(rows))
-    /// instead of replaying every iteration step by step. Identical results
-    /// either way; off exists only for the ablation bench.
-    pub hw_kernels: bool,
     /// Whether to sample the wear distribution at every epoch boundary
     /// into [`SimResult::series`] (max/mean/p99 writes, Gini, remap
     /// count) and emit matching [`Event::SeriesPoint`]s. The samples are
-    /// pure functions of the wear map, so they are bit-identical across
-    /// the replayed and compiled paths; off (the default) costs nothing.
+    /// pure functions of the wear map, so they are bit-identical between
+    /// the simulator and the analytic engine; off (the default) costs
+    /// nothing.
     pub epoch_series: bool,
 }
 
@@ -73,7 +69,6 @@ impl SimConfig {
             schedule: RemapSchedule::every(100),
             seed: 0xC0FFEE,
             track_reads: false,
-            hw_kernels: true,
             epoch_series: false,
         }
     }
@@ -113,15 +108,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables the epoch-compiled wear-kernel fast path for
-    /// dynamic (`+Hw`) maps (on by default; disabling falls back to
-    /// per-iteration step replay and is for the ablation bench only).
-    #[must_use]
-    pub fn with_hw_kernels(mut self, enabled: bool) -> Self {
-        self.hw_kernels = enabled;
-        self
-    }
-
     /// Enables per-epoch wear-trajectory sampling (off by default).
     #[must_use]
     pub fn with_epoch_series(mut self, enabled: bool) -> Self {
@@ -140,8 +126,8 @@ impl Default for SimConfig {
 
 /// One point of the wear trajectory: the cumulative wear distribution's
 /// summary statistics at an epoch boundary. Every field is a pure
-/// function of the (bit-exact) wear map, so replayed and compiled runs
-/// produce identical samples.
+/// function of the (bit-exact) wear map and the iteration count, so the
+/// simulator and the analytic engine produce identical samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSample {
     /// Iterations completed when the sample was taken.
@@ -158,6 +144,35 @@ pub struct EpochSample {
     pub gini: f64,
     /// Software remap events so far.
     pub remaps: u64,
+}
+
+impl EpochSample {
+    /// Samples `wear` after `iteration` iterations as the series' `epoch`-th
+    /// point, with `remaps` remap events so far.
+    pub(crate) fn of(wear: &WearMap, iteration: u64, epoch: u64, remaps: u64) -> Self {
+        EpochSample {
+            iteration,
+            epoch,
+            max_writes: wear.max_writes(),
+            p99_writes: wear.write_quantile(0.99),
+            mean_writes: wear.mean_writes(),
+            gini: wear.gini(),
+            remaps,
+        }
+    }
+
+    /// Emits the sample as one [`Event::SeriesPoint`] per statistic.
+    pub(crate) fn record<S: EventSink>(&self, sink: &S) {
+        for (name, value) in [
+            ("wear.max_writes", self.max_writes as f64),
+            ("wear.p99_writes", self.p99_writes as f64),
+            ("wear.mean_writes", self.mean_writes),
+            ("wear.gini", self.gini),
+            ("wear.remaps", self.remaps as f64),
+        ] {
+            sink.record(&Event::SeriesPoint { series: name, index: self.iteration, value });
+        }
+    }
 }
 
 /// Outcome of one simulation: the wear map plus the bookkeeping lifetime
@@ -254,23 +269,8 @@ impl EnduranceSimulator {
         balance: BalanceConfig,
         sink: &S,
     ) -> SimResult {
-        let counts = workload.trace().counts(self.cfg.arch);
-        self.run_with_counts(workload, balance, sink, counts)
-    }
-
-    /// [`EnduranceSimulator::run_with`] with the trace's static counts
-    /// precomputed by the caller. The counts depend only on the trace and
-    /// the architecture style, so batch entry points (the 18-configuration
-    /// matrix, the re-mapping sweep) tally them once instead of walking the
-    /// trace again for every job.
-    pub(crate) fn run_with_counts<S: EventSink>(
-        &self,
-        workload: &Workload,
-        balance: BalanceConfig,
-        sink: &S,
-        counts: nvpim_array::trace::TraceCounts,
-    ) -> SimResult {
         let trace = workload.trace();
+        let counts = trace.counts(self.cfg.arch);
         let dims = trace.dims();
         let mut map = CombinedMap::new(balance, dims.rows(), dims.lanes(), self.cfg.seed);
         assert!(
@@ -284,27 +284,14 @@ impl EnduranceSimulator {
         let enabled = sink.enabled();
         let run_start = Instant::now();
         if enabled {
-            let config_name = balance.to_string();
-            let arch_name = self.cfg.arch.to_string();
-            sink.record(&Event::RunStart {
-                workload: workload.name(),
-                config: &config_name,
-                arch: &arch_name,
-                iterations: self.cfg.iterations,
-                rows: dims.rows(),
-                lanes: dims.lanes(),
-                seed: self.cfg.seed,
-            });
+            record_run_start(sink, workload, balance, self.cfg, self.cfg.iterations);
         }
 
         let mut acc = Accumulator::new(trace, self.cfg.track_reads);
         let mut wear = WearMap::new(dims);
-        let mut hw_engine = (map.is_dynamic() && self.cfg.hw_kernels)
-            .then(|| crate::kernel::HwKernelEngine::new(trace, self.cfg.track_reads));
 
         // Per-epoch tallies; cheap plain locals even on the disabled path.
         let mut replays = 0u64;
-        let mut kernel_compiles = 0u64;
         let mut epochs = 0u64;
         let mut replay_ns = 0u64;
         let mut scatter_ns = 0u64;
@@ -320,15 +307,7 @@ impl EnduranceSimulator {
             let span = until_remap.min(self.cfg.iterations - iteration);
 
             let replay_timer = enabled.then(Instant::now);
-            if let Some(engine) = &mut hw_engine {
-                // Compiled path: at most one symbolic trace walk per epoch
-                // (and none at all while the software row table is
-                // unchanged, e.g. St rows).
-                if engine.ensure_kernel(trace, &map, self.cfg.arch) {
-                    replays += 1;
-                    kernel_compiles += 1;
-                }
-            } else if map.is_dynamic() {
+            if map.is_dynamic() {
                 // Hardware re-mapping evolves per gate: replay each
                 // iteration of the epoch. This path allocates nothing per
                 // iteration — all tallies live in the accumulator.
@@ -348,17 +327,8 @@ impl EnduranceSimulator {
             }
 
             let scatter_timer = enabled.then(Instant::now);
-            if let Some(engine) = &mut hw_engine {
-                engine.apply_epoch(trace, &mut map, span, &mut wear);
-                // Pending row vectors land before the wear map is read: at
-                // every epoch-series sample and after the last epoch.
-                if self.cfg.epoch_series || iteration + span == self.cfg.iterations {
-                    engine.flush(&mut wear);
-                }
-            } else {
-                let scale = if map.is_dynamic() { 1 } else { span };
-                acc.scatter(trace, &map, &mut wear, scale);
-            }
+            let scale = if map.is_dynamic() { 1 } else { span };
+            acc.scatter(trace, &map, &mut wear, scale);
             if let Some(t) = scatter_timer {
                 scatter_ns += t.elapsed().as_nanos() as u64;
             }
@@ -378,28 +348,11 @@ impl EnduranceSimulator {
             if self.cfg.epoch_series {
                 // Sampled *after* the epoch's wear landed (and after any
                 // remap), so a sample at iteration N reflects exactly N
-                // folded iterations on both the replayed and the compiled
-                // path — the bit-for-bit contract the trajectory tests
-                // assert.
-                let sample = EpochSample {
-                    iteration,
-                    epoch: series.len() as u64,
-                    max_writes: wear.max_writes(),
-                    p99_writes: wear.write_quantile(0.99),
-                    mean_writes: wear.mean_writes(),
-                    gini: wear.gini(),
-                    remaps: epochs,
-                };
+                // replayed iterations — the bit-for-bit contract the
+                // analytic engine's series is checked against.
+                let sample = EpochSample::of(&wear, iteration, series.len() as u64, epochs);
                 if enabled {
-                    for (name, value) in [
-                        ("wear.max_writes", sample.max_writes as f64),
-                        ("wear.p99_writes", sample.p99_writes as f64),
-                        ("wear.mean_writes", sample.mean_writes),
-                        ("wear.gini", sample.gini),
-                        ("wear.remaps", sample.remaps as f64),
-                    ] {
-                        sink.record(&Event::SeriesPoint { series: name, index: iteration, value });
-                    }
+                    sample.record(sink);
                 }
                 series.push(sample);
             }
@@ -407,7 +360,7 @@ impl EnduranceSimulator {
 
         // Runtime consistency cross-check: the wear map and the trace's
         // static counts tally the same traffic independently. A mismatch
-        // means the epoch-factorized fast path dropped or double-counted
+        // means the epoch-factorized replay dropped or double-counted
         // writes.
         let total_writes = wear.total_writes();
         assert_eq!(
@@ -430,7 +383,6 @@ impl EnduranceSimulator {
                 name: "sim.steps_replayed",
                 delta: replays * counts.sequential_steps,
             });
-            sink.record(&Event::CounterAdd { name: "sim.kernel_compiles", delta: kernel_compiles });
             sink.record(&Event::CounterAdd { name: "balance.remap_events", delta: epochs });
             sink.record(&Event::CounterAdd {
                 name: "balance.hw_redirects",
@@ -440,13 +392,7 @@ impl EnduranceSimulator {
             sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: wear.total_reads() });
             sink.record(&Event::PhaseEnd { phase: "sim.replay", ns: replay_ns });
             sink.record(&Event::PhaseEnd { phase: "sim.scatter", ns: scatter_ns });
-            sink.record(&Event::RunEnd {
-                iterations: self.cfg.iterations,
-                total_writes,
-                max_writes: wear.max_writes(),
-                wall_ns: run_start.elapsed().as_nanos() as u64,
-            });
-            sink.flush();
+            record_run_end(sink, self.cfg.iterations, &wear, run_start);
         }
 
         SimResult {
@@ -458,57 +404,44 @@ impl EnduranceSimulator {
             series,
         }
     }
+}
 
-    /// Answers the configured iteration count through the replay-free
-    /// analytic engine ([`crate::analytic`]) — bit-identical wear to
-    /// [`EnduranceSimulator::run`], with irreducible configurations
-    /// transparently falling back to the simulator. One-shot convenience;
-    /// callers issuing many queries should hold an
-    /// [`crate::analytic::AnalyticWearEngine`] directly.
-    #[must_use]
-    pub fn run_analytic(&self, workload: &Workload, balance: BalanceConfig) -> SimResult {
-        crate::analytic::AnalyticWearEngine::new(workload, balance, self.cfg)
-            .result_at(self.cfg.iterations)
-    }
+/// Emits the [`Event::RunStart`] that opens one run (or analytic query)
+/// of `iterations` iterations.
+pub(crate) fn record_run_start<S: EventSink>(
+    sink: &S,
+    workload: &Workload,
+    balance: BalanceConfig,
+    cfg: SimConfig,
+    iterations: u64,
+) {
+    let dims = workload.trace().dims();
+    sink.record(&Event::RunStart {
+        workload: workload.name(),
+        config: &balance.to_string(),
+        arch: &cfg.arch.to_string(),
+        iterations,
+        rows: dims.rows(),
+        lanes: dims.lanes(),
+        seed: cfg.seed,
+    });
+}
 
-    /// Runs every one of the paper's 18 balancing configurations.
-    #[must_use]
-    pub fn run_all_configs(&self, workload: &Workload) -> Vec<SimResult> {
-        BalanceConfig::all().into_iter().map(|c| self.run(workload, c)).collect()
-    }
-
-    /// Runs `workload` under each of `configs` across `jobs` worker threads
-    /// (`0` = auto: `NVPIM_THREADS`, else the machine's parallelism).
-    ///
-    /// Results come back in the order of `configs`, bit-identical to
-    /// running each serially: every job owns its `CombinedMap` (seeded from
-    /// the shared [`SimConfig`]), so no simulation state crosses threads.
-    /// If a process-wide [`nvpim_obs::Observer`] is installed, each worker records
-    /// into a private sink that is merged into it in submission order after
-    /// the join, keeping global counters and phase timings exact.
-    #[must_use]
-    pub fn run_configs_parallel(
-        &self,
-        workload: &Workload,
-        configs: &[BalanceConfig],
-        jobs: usize,
-    ) -> Vec<SimResult> {
-        // The trace's static counts are config-independent: tally them once
-        // for the whole batch instead of once per job.
-        let counts = workload.trace().counts(self.cfg.arch);
-        fan_out(configs.to_vec(), jobs, |config, sink| match sink {
-            Some(observer) => self.run_with_counts(workload, config, observer, counts),
-            None => self.run_with_counts(workload, config, &NullSink, counts),
-        })
-    }
-
-    /// The parallel form of [`EnduranceSimulator::run_all_configs`]: the
-    /// paper's full 18-configuration matrix fanned across `jobs` worker
-    /// threads, bit-identical to the serial path.
-    #[must_use]
-    pub fn run_all_configs_parallel(&self, workload: &Workload, jobs: usize) -> Vec<SimResult> {
-        self.run_configs_parallel(workload, &BalanceConfig::all(), jobs)
-    }
+/// Emits the [`Event::RunEnd`] that closes a run started at `started`,
+/// then flushes the sink.
+pub(crate) fn record_run_end<S: EventSink>(
+    sink: &S,
+    iterations: u64,
+    wear: &WearMap,
+    started: Instant,
+) {
+    sink.record(&Event::RunEnd {
+        iterations,
+        total_writes: wear.total_writes(),
+        max_writes: wear.max_writes(),
+        wall_ns: started.elapsed().as_nanos() as u64,
+    });
+    sink.flush();
 }
 
 /// Per-epoch (class × physical row) write/read tallies, scattered into the
@@ -648,8 +581,8 @@ impl Accumulator {
 }
 
 /// Replays the workload naively on a value-less wear map by executing the
-/// trace cell by cell — the reference implementation the fast simulator is
-/// validated against (and the ablation bench's slow arm).
+/// trace cell by cell — the reference implementation the epoch-factorized
+/// replay is validated against (and the ablation bench's slow arm).
 #[must_use]
 pub fn simulate_naive(workload: &Workload, balance: BalanceConfig, cfg: SimConfig) -> WearMap {
     let trace = workload.trace();
@@ -667,15 +600,14 @@ pub fn simulate_naive(workload: &Workload, balance: BalanceConfig, cfg: SimConfi
 
 /// One-iteration single-lane profile used by Fig. 5: per-cell write and read
 /// counts within a lane for a single execution of the workload under a
-/// static layout.
+/// static layout, answered by the analytic engine.
 #[must_use]
 pub fn single_iteration_profile(workload: &Workload, arch: ArchStyle) -> (Vec<u64>, Vec<u64>) {
     let cfg = SimConfig::paper()
-        .with_iterations(1)
         .with_arch(arch)
         .with_read_tracking(true)
         .with_schedule(RemapSchedule::never());
-    let result = EnduranceSimulator::new(cfg).run(workload, BalanceConfig::baseline());
+    let result = AnalyticWearEngine::new(workload, BalanceConfig::baseline(), cfg).result_at(1);
     let rows = workload.trace().rows_used();
     let writes = (0..rows).map(|r| result.wear.writes_at(r, 0)).collect();
     let reads = (0..rows).map(|r| result.wear.reads_at(r, 0)).collect();
@@ -875,11 +807,12 @@ mod tests {
             EnduranceSimulator::new(cfg).run_with(&wl, "StxSt+Hw".parse().unwrap(), &observer);
         let snap = observer.snapshot();
         assert_eq!(snap.counter("sim.iterations"), Some(10));
-        // The compiled Hw path walks the trace once: with static (St) rows
-        // the software table never changes, so the single kernel compiled in
-        // epoch 1 covers both epochs.
-        assert_eq!(snap.counter("sim.replays"), Some(1));
-        assert_eq!(snap.counter("sim.kernel_compiles"), Some(1));
+        // A dynamic (Hw) map replays every iteration step by step, so each
+        // of the 10 iterations walks the whole trace once.
+        assert_eq!(snap.counter("sim.replays"), Some(10));
+        let steps = wl.trace().counts(cfg.arch).sequential_steps;
+        assert_eq!(snap.counter("sim.steps_replayed"), Some(10 * steps));
+        assert_eq!(snap.counter("sim.kernel_compiles"), None, "the oracle compiles no kernels");
         assert_eq!(snap.counter("balance.remap_events"), Some(2));
         // The counters cross-check the wear map exactly.
         assert_eq!(snap.counter("array.cell_writes"), Some(result.total_writes()));
@@ -909,42 +842,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_all_configs_matches_serial() {
-        let wl = small_mul();
-        let cfg = SimConfig::default().with_iterations(6).with_schedule(RemapSchedule::every(3));
-        let sim = EnduranceSimulator::new(cfg);
-        let serial: Vec<SimResult> =
-            BalanceConfig::all().into_iter().map(|b| sim.run(&wl, b)).collect();
-        let parallel = sim.run_all_configs_parallel(&wl, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.config, p.config);
-            assert_eq!(s.wear.max_writes(), p.wear.max_writes());
-            assert_eq!(s.wear.total_writes(), p.wear.total_writes());
-        }
-    }
-
-    #[test]
-    fn epoch_series_is_bit_identical_across_replay_paths() {
-        // The trajectory samples are pure functions of the wear map at each
-        // epoch boundary, so the compiled-kernel path and per-iteration step
-        // replay must produce the exact same Vec<EpochSample> — including
-        // the float fields, which derive from integer write counts.
-        let wl = small_mul();
-        let base = SimConfig::default()
-            .with_iterations(20)
-            .with_schedule(RemapSchedule::every(4))
-            .with_epoch_series(true);
-        for config in ["StxSt+Hw", "RaxRa+Hw", "BsxSt+Hw"] {
-            let balance: BalanceConfig = config.parse().unwrap();
-            let compiled = EnduranceSimulator::new(base.with_hw_kernels(true)).run(&wl, balance);
-            let replayed = EnduranceSimulator::new(base.with_hw_kernels(false)).run(&wl, balance);
-            assert_eq!(compiled.series.len(), 5, "{config}: 20 iters / period 4");
-            assert_eq!(compiled.series, replayed.series, "{config} trajectories diverge");
         }
     }
 

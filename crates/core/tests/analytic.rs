@@ -1,13 +1,13 @@
 //! Bit-identity of the replay-free analytic wear engine.
 //!
 //! The analytic engine answers `wear_at(N)` through closed-form prefix
-//! panels, lazy epoch enumeration, or simulator fallback depending on the
-//! configuration. These tests pin every path against both simulator arms —
-//! epoch-compiled (`with_hw_kernels(true)`) and per-iteration step replay
-//! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across all
-//! 18 balancing configurations, never() schedules, randomized iteration
-//! counts with mid-epoch partial spans, monotone and backwards lazy
-//! queries, and the exact lifetime solve. `scripts/ci.sh` runs them in
+//! panels, lazy epoch enumeration, or per-epoch kernel compiles (the
+//! fallback rung) depending on the configuration. These tests pin every
+//! path against the reference oracle, the simulator's per-iteration step
+//! replay — cell by cell, writes and reads, across all 18 balancing
+//! configurations, never() schedules, randomized iteration counts with
+//! mid-epoch partial spans, monotone and backwards lazy queries, epoch
+//! series, and the exact lifetime solve. `scripts/ci.sh` runs them in
 //! release mode.
 
 use nvpim_array::ArrayDims;
@@ -23,7 +23,7 @@ use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 
-/// Asserts the analytic engine equals both simulator arms cell by cell.
+/// Asserts the analytic engine equals step replay cell by cell.
 fn assert_analytic_bit_identical(
     wl: &Workload,
     cfg: SimConfig,
@@ -32,40 +32,22 @@ fn assert_analytic_bit_identical(
 ) {
     let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
     let analytic = engine.wear_at(cfg.iterations);
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+    let replayed = EnduranceSimulator::new(cfg).run(wl, balance);
     let dims = wl.trace().dims();
     let path = engine.path();
     for row in 0..dims.rows() {
         for lane in 0..dims.lanes() {
-            let a = analytic.writes_at(row, lane);
             assert_eq!(
-                a,
-                compiled.wear.writes_at(row, lane),
-                "{label} {balance} [{path}]: writes diverge from compiled at ({row},{lane})"
-            );
-            assert_eq!(
-                a,
-                replayed.wear.writes_at(row, lane),
-                "{label} {balance} [{path}]: writes diverge from step replay at ({row},{lane})"
-            );
-            let r = analytic.reads_at(row, lane);
-            assert_eq!(
-                r,
-                compiled.wear.reads_at(row, lane),
-                "{label} {balance} [{path}]: reads diverge from compiled at ({row},{lane})"
-            );
-            assert_eq!(
-                r,
-                replayed.wear.reads_at(row, lane),
-                "{label} {balance} [{path}]: reads diverge from step replay at ({row},{lane})"
+                (analytic.writes_at(row, lane), analytic.reads_at(row, lane)),
+                (replayed.wear.writes_at(row, lane), replayed.wear.reads_at(row, lane)),
+                "{label} {balance} [{path}]: wear diverges from step replay at ({row},{lane})"
             );
         }
     }
 }
 
 #[test]
-fn analytic_matches_both_simulator_arms_for_every_config() {
+fn analytic_matches_step_replay_for_every_config() {
     // 23 iterations over a period of 7: three full epochs plus a partial
     // final epoch of 2, exercising whole-epoch and partial-span algebra.
     let cfg = SimConfig::default()
@@ -230,7 +212,7 @@ fn solve_locates_the_exact_failure_iteration() {
             "{balance}: failure iteration does not exceed endurance"
         );
     }
-    // Irreducible configs still answer, flagged as extrapolations.
+    // The fallback rung still answers, flagged as an extrapolation.
     let mut fallback = AnalyticWearEngine::new(&wl, "RaxSt+Hw".parse().unwrap(), cfg);
     let outcome = lifetime::solve(&mut fallback, model, 1_000);
     assert!(!outcome.exact);
@@ -244,7 +226,8 @@ fn parallel_analytic_matrix_is_bit_identical_to_the_simulator_matrix() {
     let wl = DotProduct::new(ArrayDims::new(128, 8), 8, 8).build();
     let configs = BalanceConfig::all();
     let analytic = run_configs_analytic(&wl, &configs, cfg, 4);
-    let simulated = EnduranceSimulator::new(cfg).run_configs_parallel(&wl, &configs, 4);
+    let sim = EnduranceSimulator::new(cfg);
+    let simulated: Vec<_> = configs.iter().map(|&config| sim.run(&wl, config)).collect();
     assert_eq!(analytic.len(), simulated.len());
     let dims = wl.trace().dims();
     for (a, s) in analytic.iter().zip(&simulated) {
@@ -300,8 +283,7 @@ fn assert_matches_step_replay(wl: &Workload, cfg: SimConfig, balance: BalanceCon
     let label = wl.name();
     for &n in ns {
         let analytic = engine.wear_at(n);
-        let replayed =
-            EnduranceSimulator::new(cfg.with_iterations(n).with_hw_kernels(false)).run(wl, balance);
+        let replayed = EnduranceSimulator::new(cfg.with_iterations(n)).run(wl, balance);
         let dims = wl.trace().dims();
         for row in 0..dims.rows() {
             for lane in 0..dims.lanes() {
@@ -367,6 +349,52 @@ fn multi_class_lazy_grouping_matches_step_replay() {
         for name in ["RaxSt", "StxRa", "RaxBs", "BsxRa", "RaxRa"] {
             let balance: BalanceConfig = name.parse().unwrap();
             assert_matches_step_replay(wl, cfg, balance, &[8, 61, 200]);
+        }
+    }
+}
+
+#[test]
+fn epoch_series_matches_step_replay_for_every_config() {
+    // Every rung samples the wear series at each epoch boundary; each
+    // sample (float fields included) must equal the step-replay oracle's.
+    // The narrow multi-class arrays keep most samples between threshold
+    // flushes of the lazy rungs' pending row vectors; the schedules cover
+    // exact boundaries, a partial final epoch, period 1, and never().
+    let workloads = [
+        ("mul-128x8", ParallelMul::new(ArrayDims::new(128, 8), 8).build()),
+        ("dot-64x8", DotProduct::new(ArrayDims::new(64, 8), 8, 4).build()),
+        ("conv-128x16", Convolution::new(ArrayDims::new(128, 16), 4, 2, 3).build()),
+    ];
+    let cases = [
+        (20, RemapSchedule::every(4), 5),
+        (40, RemapSchedule::every(3), 14),
+        (9, RemapSchedule::every(1), 9),
+        (17, RemapSchedule::never(), 1),
+    ];
+    for (label, wl) in &workloads {
+        for (iterations, schedule, samples) in cases {
+            let cfg = SimConfig::default()
+                .with_iterations(iterations)
+                .with_schedule(schedule)
+                .with_read_tracking(true)
+                .with_epoch_series(true);
+            for balance in BalanceConfig::all() {
+                let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
+                let path = engine.path();
+                let analytic = engine.result_at(iterations);
+                let replayed = EnduranceSimulator::new(cfg).run(wl, balance);
+                let what = format!("{label} {balance} [{path}] n={iterations}");
+                assert_eq!(replayed.series.len(), samples, "{what}");
+                assert_eq!(analytic.series, replayed.series, "{what}: trajectories diverge");
+                for row in 0..wl.trace().dims().rows() {
+                    assert_eq!(
+                        analytic.wear.row_writes(row),
+                        replayed.wear.row_writes(row),
+                        "{what}: row {row}"
+                    );
+                }
+                assert_eq!(analytic.wear.total_reads(), replayed.wear.total_reads(), "{what}");
+            }
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Bit-identity of the epoch-compiled wear-kernel path.
+//! Bit-identity of the analytic engine's compiled wear-kernel paths.
 //!
-//! The `+Hw` fast path compiles one symbolic trace walk per software epoch
-//! and folds whole epochs over the resulting slot permutation. These tests
-//! pin it against the reference — per-iteration step replay
-//! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across every
-//! balancing configuration, multiple geometries, partial final epochs, long
-//! never-remap spans (the `q > 0` cycle-power fold), and randomized
-//! redirect-storm parameters. Narrow multi-class arrays drive the
-//! row-vector flush rule (keys overflowing the lane count mid-run, and the
-//! flush before every epoch-series sample) against the analytic engine and
-//! step replay. `scripts/ci.sh` runs them in release mode.
+//! On `+Hw` configurations the engine compiles one symbolic trace walk per
+//! software row table and folds whole epochs over the resulting slot
+//! permutation. These tests pin it against the reference oracle — the
+//! simulator's per-iteration step replay — cell by cell, writes and reads,
+//! across every balancing configuration, multiple geometries, partial
+//! final epochs, long never-remap spans (the `q > 0` cycle-power fold),
+//! period-1 recompiles, and randomized redirect-storm parameters. Narrow
+//! multi-class arrays drive the row-vector flush rule (keys overflowing the
+//! lane count mid-run) through monotone and backwards queries.
+//! `scripts/ci.sh` runs them in release mode.
 
 use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
@@ -20,10 +20,11 @@ use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 
-/// Asserts the compiled-kernel run equals the step-replay run cell by cell.
+/// Asserts the analytic engine's answer equals the step-replay run cell by
+/// cell.
 fn assert_bit_identical(wl: &Workload, cfg: SimConfig, balance: BalanceConfig, label: &str) {
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+    let compiled = AnalyticWearEngine::new(wl, balance, cfg).result_at(cfg.iterations);
+    let replayed = EnduranceSimulator::new(cfg).run(wl, balance);
     let dims = wl.trace().dims();
     for row in 0..dims.rows() {
         for lane in 0..dims.lanes() {
@@ -42,7 +43,7 @@ fn assert_bit_identical(wl: &Workload, cfg: SimConfig, balance: BalanceConfig, l
 }
 
 #[test]
-fn compiled_path_matches_step_replay_for_every_config_at_two_geometries() {
+fn compiled_paths_match_step_replay_for_every_config_at_two_geometries() {
     // 23 iterations over a period of 7: three full epochs plus a partial
     // final epoch of 2, so span handling is exercised at both lengths.
     let cfg = SimConfig::default()
@@ -78,7 +79,7 @@ fn long_never_remap_span_exercises_the_cycle_power_fold() {
 #[test]
 fn per_iteration_remapping_recompiles_without_divergence() {
     // period 1 under Ra rows: a fresh software table — and thus a kernel
-    // recompile — every single iteration. The compiled path degenerates to
+    // recompile — every single iteration. The fallback rung degenerates to
     // one trace walk per iteration and must still match exactly.
     let cfg = SimConfig::default()
         .with_iterations(9)
@@ -171,35 +172,9 @@ fn row_vector_flushes_match_analytic_and_step_replay_on_narrow_arrays() {
             for n in [0, 31, 32, 121, 17] {
                 let what = format!("{label} {balance} n={n}");
                 let analytic = engine.wear_at(n);
-                let run = |kernels| {
-                    let cfg = cfg.with_iterations(n).with_hw_kernels(kernels);
-                    EnduranceSimulator::new(cfg).run(wl, balance).wear
-                };
-                let replayed = run(false);
-                assert_same_wear(&analytic, &replayed, &format!("{what} analytic"));
-                assert_same_wear(&run(true), &replayed, &format!("{what} compiled"));
+                let replayed = EnduranceSimulator::new(cfg.with_iterations(n)).run(wl, balance);
+                assert_same_wear(&analytic, &replayed.wear, &what);
             }
-        }
-    }
-}
-
-#[test]
-fn epoch_series_matches_step_replay_on_multi_class_workloads() {
-    // Every sample must see the pending row vectors flushed: 40 iterations
-    // at period 3 give 14 samples, most of them between threshold flushes.
-    let cfg = SimConfig::default()
-        .with_iterations(40)
-        .with_schedule(RemapSchedule::every(3))
-        .with_read_tracking(true)
-        .with_epoch_series(true);
-    for (label, wl) in &narrow_multi_class() {
-        for name in ["RaxRa+Hw", "StxRa+Hw", "BsxRa+Hw", "RaxBs+Hw", "StxSt+Hw"] {
-            let balance: BalanceConfig = name.parse().unwrap();
-            let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
-            let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
-            assert_eq!(compiled.series.len(), 14, "{label} {balance}");
-            assert_eq!(compiled.series, replayed.series, "{label} {balance}: trajectories diverge");
-            assert_same_wear(&compiled.wear, &replayed.wear, &format!("{label} {balance}"));
         }
     }
 }

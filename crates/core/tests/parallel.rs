@@ -1,14 +1,14 @@
-//! End-to-end determinism of the parallel simulation engine.
+//! End-to-end determinism of the parallel analytic engine.
 //!
 //! The contract under test: fanning the 18-configuration balancing matrix
 //! (or a frequency sweep) across any number of worker threads produces
-//! results bit-identical to the serial loop — every cell of every
-//! `WearMap`, and the derived lifetimes, exactly equal.
+//! results bit-identical to the serial step-replay loop — every cell of
+//! every `WearMap`, and the derived lifetimes, exactly equal.
 
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::sweep::remap_frequency_sweep_analytic;
-use nvpim_core::{EnduranceSimulator, LifetimeModel, SimConfig, SimResult};
+use nvpim_core::{run_configs_analytic, EnduranceSimulator, LifetimeModel, SimConfig, SimResult};
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 
@@ -55,7 +55,7 @@ fn full_matrix_is_identical_across_thread_counts() {
     assert_eq!(configs.len(), 18);
     let serial: Vec<SimResult> = configs.iter().map(|&b| sim.run(&wl, b)).collect();
     for jobs in [1usize, 2, 8] {
-        let parallel = sim.run_all_configs_parallel(&wl, jobs);
+        let parallel = run_configs_analytic(&wl, &configs, config(), jobs);
         assert_bit_identical(&serial, &parallel, jobs);
     }
 }
@@ -88,7 +88,7 @@ fn nvpim_threads_env_falls_back_to_single_worker() {
     let configs: Vec<BalanceConfig> =
         ["StxSt", "RaxRa", "BsxSt+Hw"].iter().map(|s| s.parse().unwrap()).collect();
     let serial: Vec<SimResult> = configs.iter().map(|&b| sim.run(&wl, b)).collect();
-    let env_driven = sim.run_configs_parallel(&wl, &configs, 0);
+    let env_driven = run_configs_analytic(&wl, &configs, config(), 0);
     assert_bit_identical(&serial, &env_driven, 0);
 
     // Garbage values are ignored in favor of the hardware default.

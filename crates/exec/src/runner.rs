@@ -6,7 +6,7 @@ use crate::JobPool;
 /// submission order.
 ///
 /// This is the engine behind the simulation stack's parallel entry points
-/// (`run_all_configs_parallel`, the parallel re-mapping sweep, the `repro`
+/// (`run_configs_analytic`, the parallel re-mapping sweep, the `repro`
 /// figure matrix): callers enumerate the experiment matrix as a `Vec` of job
 /// descriptors, and the runner guarantees the output `Vec` lines up
 /// element-for-element with the input — bit-identical to the serial loop.

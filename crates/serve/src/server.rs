@@ -33,7 +33,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nvpim_core::{AnalyticWearEngine, EnduranceSimulator};
+use nvpim_core::AnalyticWearEngine;
 use nvpim_exec::{JobPool, SubmitError, TaskQueue};
 use nvpim_obs::{
     Event, EventSink as _, Json, JsonlSink, Observer, RunManifest, TraceContext, TraceId,
@@ -551,13 +551,10 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
 /// opened on whatever thread executes (the detached `/simulate` worker or
 /// a `/batch` pool worker), so the trace shows real lanes.
 ///
-/// Requests that do not ask for the per-epoch wear series are answered by
-/// the replay-free [`AnalyticWearEngine`] — a closed-form or lazy query
-/// whose `SimResult` is bit-identical to a full replay (irreducible
-/// configurations fall back to the simulator inside the engine). The body
-/// bytes are therefore identical either way, so analytic answers share
-/// cache identity with simulated ones; the manifest records which engine
-/// path produced the numbers.
+/// Every request, per-epoch wear series included, is answered by the
+/// replay-free [`AnalyticWearEngine`], whose `SimResult` is bit-identical
+/// to a full step replay — so the body bytes are the simulator's, and the
+/// manifest records which engine path produced the numbers.
 fn execute(
     request: &SimRequest,
     state: &ServeState,
@@ -574,15 +571,10 @@ fn execute(
     let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, RequestError> {
         let cfg = request.sim_config();
         let workload = request.try_build_workload()?;
-        Ok(if request.series {
-            let result = EnduranceSimulator::new(cfg).run_with(&workload, request.config, &local);
-            (wire::result_body(request, &result), None)
-        } else {
-            let mut engine = AnalyticWearEngine::new(&workload, request.config, cfg);
-            let path = engine.path();
-            let result = engine.result_at_with(cfg.iterations, &local);
-            (wire::result_body(request, &result), Some(path))
-        })
+        let engine = AnalyticWearEngine::new(&workload, request.config, cfg);
+        let path = engine.path();
+        let result = engine.into_result_at_with(cfg.iterations, &local);
+        Ok((wire::result_body(request, &result), path))
     }));
     drop(span);
     let (body, analytic_path) = match run {
@@ -595,10 +587,7 @@ fn execute(
     let key = request.cache_key();
     state.cache.lock().expect("cache poisoned").insert(key, request.canonical_text(), body.clone());
     if let Some(dir) = &state.manifest_dir {
-        let mut config = request.canonical_json();
-        if let Some(path) = analytic_path {
-            config = config.with("analytic_path", path.label());
-        }
+        let config = request.canonical_json().with("analytic_path", analytic_path.label());
         let manifest = RunManifest::new(&format!("serve:{}", request.workload.kind()))
             .with_config(config)
             .with_observer(&local)

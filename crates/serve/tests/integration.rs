@@ -6,8 +6,12 @@
 
 use std::time::Duration;
 
+use nvpim_balance::BalanceConfig;
+use nvpim_core::analytic::classify;
+use nvpim_core::EnduranceSimulator;
 use nvpim_obs::Json;
-use nvpim_serve::{Client, Server, ServerConfig};
+use nvpim_serve::hash::key_hex;
+use nvpim_serve::{wire, Client, Server, ServerConfig, SimRequest};
 
 fn start(config: ServerConfig) -> (nvpim_serve::ServerHandle, Client) {
     let handle = Server::start(config).expect("server starts");
@@ -21,7 +25,7 @@ fn small_request(seed: u64) -> String {
     )
 }
 
-/// A request the simulator cannot finish within its 1 ms budget: random
+/// A request the engine cannot finish within its 1 ms budget: random
 /// (`Ra`) rows reshuffle the software table every epoch, so with `period: 1`
 /// the `+Hw` kernel is recompiled — a full trace walk — for every single
 /// iteration, and the cost genuinely scales with the iteration count.
@@ -427,6 +431,42 @@ fn series_request_streams_the_wear_trajectory() {
 }
 
 #[test]
+fn series_bodies_equal_step_replay_for_every_config() {
+    // Series requests answer through the analytic engine on every rung; the
+    // body must equal the one rendered from the simulator's step replay,
+    // and the spilled manifest must name the rung that answered.
+    let dir = std::env::temp_dir().join(format!("nvpim-serve-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig { cache_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let (handle, client) = start(config);
+    for balance in BalanceConfig::all() {
+        let body = format!(
+            r#"{{"workload": {{"kind": "mul", "rows": 128, "lanes": 8}}, "config": "{balance}",
+                "iterations": 23, "period": 4, "track_reads": true, "series": true}}"#
+        );
+        let request: SimRequest = body.parse().expect("valid request");
+        let cfg = request.sim_config();
+        let oracle = EnduranceSimulator::new(cfg).run(&request.build_workload(), request.config);
+        let reply = client.post_json("/simulate", &body).unwrap();
+        assert_eq!(reply.status, 200, "{balance}");
+        assert_eq!(reply.text(), wire::result_body(&request, &oracle), "{balance}: body differs");
+
+        let key = key_hex(request.cache_key());
+        let path = dir.join("manifests").join(format!("{key}.manifest.json"));
+        let manifest = std::fs::read_to_string(&path).expect("series manifest written");
+        let doc = nvpim_obs::json::parse(&manifest).expect("manifest parses");
+        assert_eq!(
+            doc.get("config").and_then(|c| c.get("analytic_path")).and_then(Json::as_str),
+            Some(classify(balance, cfg.schedule).label()),
+            "{balance}: series manifest names its rung"
+        );
+    }
+    handle.request_shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn spill_compaction_bounds_the_disk_tier_across_restarts() {
     let dir = std::env::temp_dir().join(format!("nvpim-serve-compact-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -520,8 +560,8 @@ fn disk_cache_and_manifests_survive_a_server_restart() {
             .and_then(Json::as_str)
             .expect("result carries its cache key")
             .to_owned();
-        // A no-series request is answered analytically, and the engine's
-        // query counter surfaces in the absorbed server metrics.
+        // The request is answered analytically, and the engine's query
+        // counter surfaces in the absorbed server metrics.
         let metrics = client.get("/metrics").unwrap().json().unwrap();
         assert!(counter(&metrics, "sim.analytic_queries") >= 1);
         handle.request_shutdown();

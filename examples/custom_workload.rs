@@ -91,19 +91,18 @@ fn main() {
     println!("functional check passed (threshold crossover observed {flips} time(s))");
 
     // 2. Characterize its endurance like the paper would.
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(nvpim::example_iterations(1_000)),
-    );
+    let cfg = SimConfig::default().with_iterations(nvpim::example_iterations(1_000));
+    let run = |config| AnalyticWearEngine::new(&workload, config, cfg).result_at(cfg.iterations);
     let model = LifetimeModel::mtj();
-    let baseline = sim.run(&workload, BalanceConfig::baseline());
+    let baseline = run(BalanceConfig::baseline());
     println!(
         "\nStxSt lifetime: {:.2e} iterations ({:.1} days)",
         model.lifetime(&baseline).iterations,
         model.lifetime(&baseline).days()
     );
     for config in ["RaxSt", "StxRa", "RaxRa", "RaxRa+Hw"] {
-        let run = sim.run(&workload, config.parse().unwrap());
-        println!("{config:>9}: {:.2}x", model.improvement(&run, &baseline));
+        let result = run(config.parse().unwrap());
+        println!("{config:>9}: {:.2}x", model.improvement(&result, &baseline));
     }
     println!(
         "\n(odd lanes do the reduction work here, so — unlike the paper's\n\

@@ -22,15 +22,14 @@ fn main() {
     // Simulated first-cell-failure lifetimes (Eq. 4) per strategy.
     let dims = ArrayDims::new(512, 128);
     let workload = DotProduct::new(dims, 128, 16).build();
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(nvpim::example_iterations(2_000)),
-    );
-    let baseline = sim.run(&workload, BalanceConfig::baseline());
+    let cfg = SimConfig::default().with_iterations(nvpim::example_iterations(2_000));
+    let run = |config| AnalyticWearEngine::new(&workload, config, cfg).result_at(cfg.iterations);
+    let baseline = run(BalanceConfig::baseline());
 
     println!("\nsimulated lifetime of `{}` (first cell failure):", workload.name());
     let mut rows = Vec::new();
     for config in BalanceConfig::all() {
-        let result = sim.run(&workload, config);
+        let result = run(config);
         let mut row = vec![config.to_string()];
         for tech in [Technology::Mram, Technology::Rram, Technology::Pcm] {
             let model = LifetimeModel::for_technology(tech);

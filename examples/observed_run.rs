@@ -1,6 +1,7 @@
-//! Observability walkthrough: run the simulator with live progress on
-//! stderr, then dump the aggregated metrics, per-phase timings, and a
-//! diffable `RunManifest` artifact.
+//! Observability walkthrough: answer one configuration through the
+//! analytic engine with run lifecycle lines on stderr, then dump the
+//! aggregated metrics, per-phase timings, and a diffable `RunManifest`
+//! artifact.
 //!
 //! Run with: `cargo run --release --example observed_run`
 
@@ -8,24 +9,23 @@ use nvpim::obs::Json;
 use nvpim::prelude::*;
 
 fn main() {
-    // An Observer aggregates counters/span timings from the simulator and
-    // forwards the event stream to a sink — here, throttled progress lines
-    // on stderr. Passing `NullSink` instead would compile the whole
+    // An Observer aggregates counters/span timings from the engine and
+    // forwards the event stream to a sink — here, progress lines on
+    // stderr. Passing `NullSink` instead would compile the whole
     // instrumentation path away.
     let observer = Observer::new(StderrProgressSink::new());
 
     let dims = ArrayDims::new(1024, 256);
     let workload = ParallelMul::new(dims, 32).build();
     let cfg = SimConfig::default().with_iterations(nvpim::example_iterations(2_000));
-    let sim = EnduranceSimulator::new(cfg);
-
     let balance: BalanceConfig = "RaxSt+Hw".parse().expect("valid config");
-    let result = sim.run_with(&workload, balance, &observer);
+    let mut engine = AnalyticWearEngine::new(&workload, balance, cfg);
+    let result = engine.result_at_with(cfg.iterations, &observer);
 
     // Everything the run reported is now queryable.
     let snapshot = observer.snapshot();
     println!("\naggregated metrics:");
-    for name in ["sim.iterations", "sim.replays", "balance.remap_events", "balance.hw_redirects"] {
+    for name in ["sim.iterations", "sim.kernel_compiles", "balance.remap_events"] {
         println!("  {name:<24} {}", snapshot.counter(name).unwrap_or(0));
     }
     println!("\nphase timings:");

@@ -17,14 +17,14 @@ fn main() {
         workload.trace().rows_used()
     );
 
-    // Simulate 2 000 iterations under the paper's default settings
-    // (preset-output gates, re-compilation every 100 iterations).
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(nvpim::example_iterations(2_000)),
-    );
+    // Wear after 2 000 iterations under the paper's default settings
+    // (preset-output gates, re-compilation every 100 iterations), answered
+    // by the replay-free analytic engine — bit-identical to replaying them.
+    let cfg = SimConfig::default().with_iterations(nvpim::example_iterations(2_000));
+    let run = |config| AnalyticWearEngine::new(&workload, config, cfg).result_at(cfg.iterations);
     let model = LifetimeModel::mtj(); // 10^12-write MTJs, 3 ns/op
 
-    let baseline = sim.run(&workload, BalanceConfig::baseline());
+    let baseline = run(BalanceConfig::baseline());
     let lt = model.lifetime(&baseline);
     println!("\nStxSt (no balancing):");
     println!("  hottest cell        : {:.1} writes/iteration", baseline.max_writes_per_iteration());
@@ -33,7 +33,7 @@ fn main() {
     // Try every strategy combination and report the best.
     let mut best: Option<(BalanceConfig, f64)> = None;
     for config in BalanceConfig::all() {
-        let result = sim.run(&workload, config);
+        let result = run(config);
         let improvement = model.improvement(&result, &baseline);
         if best.map_or(true, |(_, b)| improvement > b) {
             best = Some((config, improvement));

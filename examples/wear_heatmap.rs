@@ -25,10 +25,8 @@ fn main() {
         other => panic!("unknown workload `{other}` (expected mul, dot, conv)"),
     };
 
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(nvpim::example_iterations(1_000)),
-    );
-    let result = sim.run(&workload, config);
+    let cfg = SimConfig::default().with_iterations(nvpim::example_iterations(1_000));
+    let result = AnalyticWearEngine::new(&workload, config, cfg).result_at(cfg.iterations);
 
     println!(
         "{} under {config}: total {} writes, hottest cell {} ({}x the mean), gini {:.3}",

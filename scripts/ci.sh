@@ -17,16 +17,17 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --release --offline -p nvpim-core --test parallel
 cargo test -q --release --offline -p nvpim-exec
 
-# The compiled-kernel bit-identity suite in release mode: the +Hw fast
-# path must match per-iteration step replay cell for cell under the same
-# optimization level the benchmarks and the repro binary run at.
+# The compiled-kernel bit-identity suite in release mode: the analytic
+# engine's +Hw paths must match per-iteration step replay cell for cell
+# under the same optimization level the benchmarks and the repro binary
+# run at.
 cargo test -q --release --offline -p nvpim-core --test kernels
 
 # The replay-free analytic engine in release mode: closed-form, lazy, and
-# fallback answers must be bit-identical to both simulator arms across all
-# 18 configurations, randomized iteration counts, a seeded fuzz arm over
-# shapes, schedules, read tracking, and seeds, and the exact lifetime
-# solve.
+# fallback answers and epoch series must be bit-identical to the
+# simulator's step replay across all 18 configurations, randomized
+# iteration counts, a seeded fuzz arm over shapes, schedules, read
+# tracking, and seeds, and the exact lifetime solve.
 cargo test -q --release --offline -p nvpim-core --test analytic
 
 # The HTTP service end to end in release mode: concurrent byte-identical
@@ -64,6 +65,14 @@ for key in wear.max_writes wear.p99_writes wear.mean_writes wear.gini wear.remap
     grep -q "\"$key\"" "$OBS_TMP/manifest.json" ||
         { echo "ci: manifest series section is missing $key" >&2; exit 1; }
 done
+# Every one of the 3 × 18 cells samples the trajectory: at 40 iterations
+# (one partial epoch) each contributes one wear.max_writes point.
+python3 - "$OBS_TMP/series.json" <<'PY' ||
+import json, sys
+seen = json.load(open(sys.argv[1]))["wear.max_writes"]["seen"]
+sys.exit(0 if seen == 54 else f"wear.max_writes seen {seen}, want 54")
+PY
+    { echo "ci: series artifact does not sample every cell" >&2; exit 1; }
 echo "ci: traced smoke artifacts validated"
 
 # Paper-scale golden check: `repro fig17 --full` (3 programs × 18

@@ -28,10 +28,11 @@
 //!
 //! // A small array so the example runs fast; the paper uses 1024×1024.
 //! let workload = ParallelMul::new(ArrayDims::new(256, 32), 8).build();
-//! let sim = EnduranceSimulator::new(SimConfig::default().with_iterations(500));
+//! let cfg = SimConfig::default();
+//! let run = |config| AnalyticWearEngine::new(&workload, config, cfg).result_at(500);
 //!
-//! let baseline = sim.run(&workload, BalanceConfig::baseline());
-//! let balanced = sim.run(&workload, "RaxSt+Hw".parse()?);
+//! let baseline = run(BalanceConfig::baseline());
+//! let balanced = run("RaxSt+Hw".parse()?);
 //!
 //! let model = LifetimeModel::mtj();
 //! println!(
@@ -72,7 +73,9 @@ pub fn example_iterations(default: u64) -> u64 {
 pub mod prelude {
     pub use nvpim_array::{ArchStyle, ArrayDims, LaneSet, PimArray, WearMap};
     pub use nvpim_balance::{BalanceConfig, RemapSchedule, Strategy};
-    pub use nvpim_core::{EnduranceSimulator, Lifetime, LifetimeModel, SimConfig, SimResult};
+    pub use nvpim_core::{
+        AnalyticWearEngine, EnduranceSimulator, Lifetime, LifetimeModel, SimConfig, SimResult,
+    };
     pub use nvpim_logic::{circuits, words, CircuitBuilder, GateKind};
     pub use nvpim_nvm::{DeviceParams, EnduranceModel, Technology};
     pub use nvpim_obs::{EventSink, Observer, RunManifest, StderrProgressSink};
