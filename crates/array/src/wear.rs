@@ -24,6 +24,8 @@ use crate::{ArrayDims, LaneSet};
 pub struct WearMap {
     dims: ArrayDims,
     writes: Vec<u64>,
+    // Empty until the first read lands: a map that tracks no reads neither
+    // allocates nor clones a second plane. Readers treat it as all zeros.
     reads: Vec<u64>,
     // Running grand totals, maintained by every mutator so that
     // `total_writes`/`total_reads` are O(1). The conservation checker in
@@ -39,7 +41,7 @@ impl WearMap {
         WearMap {
             dims,
             writes: vec![0; dims.cells()],
-            reads: vec![0; dims.cells()],
+            reads: Vec::new(),
             sum_writes: 0,
             sum_reads: 0,
         }
@@ -63,10 +65,11 @@ impl WearMap {
     /// Adds `count` reads to the cell at every lane of `lanes` in `row`.
     pub fn add_reads(&mut self, row: usize, lanes: &LaneSet, count: u64) {
         let base = row * self.dims.lanes();
+        let reads = self.reads_mut();
         for lane in lanes.iter() {
-            self.reads[base + lane] += count;
-            self.sum_reads += count;
+            reads[base + lane] += count;
         }
+        self.sum_reads += count * lanes.count() as u64;
     }
 
     /// Adds one write at a single cell.
@@ -77,7 +80,8 @@ impl WearMap {
 
     /// Adds one read at a single cell.
     pub fn add_read_at(&mut self, row: usize, lane: usize, count: u64) {
-        self.reads[self.dims.index_of(row, lane)] += count;
+        let index = self.dims.index_of(row, lane);
+        self.reads_mut()[index] += count;
         self.sum_reads += count;
     }
 
@@ -90,7 +94,12 @@ impl WearMap {
     /// Accumulated reads at `(row, lane)`.
     #[must_use]
     pub fn reads_at(&self, row: usize, lane: usize) -> u64 {
-        self.reads[self.dims.index_of(row, lane)]
+        let index = self.dims.index_of(row, lane);
+        if self.reads.is_empty() {
+            0
+        } else {
+            self.reads[index]
+        }
     }
 
     /// Merges another wear map into this one.
@@ -103,8 +112,10 @@ impl WearMap {
         for (a, b) in self.writes.iter_mut().zip(&other.writes) {
             *a += b;
         }
-        for (a, b) in self.reads.iter_mut().zip(&other.reads) {
-            *a += b;
+        if !other.reads.is_empty() {
+            for (a, b) in self.reads_mut().iter_mut().zip(&other.reads) {
+                *a += b;
+            }
         }
         self.sum_writes += other.sum_writes;
         self.sum_reads += other.sum_reads;
@@ -170,10 +181,19 @@ impl WearMap {
 
     fn plane_mut(&mut self, reads: bool) -> (&mut [u64], &mut u64) {
         if reads {
+            self.reads_mut();
             (&mut self.reads, &mut self.sum_reads)
         } else {
             (&mut self.writes, &mut self.sum_writes)
         }
+    }
+
+    /// The read plane, allocated on first use.
+    fn reads_mut(&mut self) -> &mut [u64] {
+        if self.reads.is_empty() {
+            self.reads = vec![0; self.dims.cells()];
+        }
+        &mut self.reads
     }
 
     /// Maximum writes over all cells (the lifetime-limiting cell, Eq. 4).
@@ -454,6 +474,40 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.writes_at(0, 0), 3);
         assert_eq!(a.reads_at(1, 1), 3);
+    }
+
+    #[test]
+    fn read_plane_is_allocated_on_first_read_only() {
+        let dims = ArrayDims::new(2, 3);
+        let mut writes_only = WearMap::new(dims);
+        writes_only.add_write_at(1, 2, 4);
+        let mut with_reads = WearMap::new(dims);
+        with_reads.add_read_at(0, 1, 5);
+        assert!(writes_only.reads.is_empty(), "no read, no read plane");
+
+        // Cloning a map without reads copies no read plane; its reads are 0.
+        let copy = writes_only.clone();
+        assert!(copy.reads.is_empty());
+        assert_eq!((copy.reads_at(0, 1), copy.total_reads(), copy.recount_reads()), (0, 0, 0));
+
+        // Merging a map without reads leaves the target's plane untouched.
+        let mut target = writes_only.clone();
+        target.merge(&writes_only);
+        assert!(target.reads.is_empty());
+        assert_eq!(target.writes_at(1, 2), 8);
+
+        // Merging a map with reads into one without allocates the plane.
+        target.merge(&with_reads);
+        assert_eq!(target.reads_at(0, 1), 5);
+        assert_eq!(target.total_reads(), target.recount_reads());
+
+        // And the other way round: merging a read-free map changes no read.
+        let mut reads_first = with_reads.clone();
+        reads_first.merge(&writes_only);
+        assert_eq!(reads_first.reads_at(0, 1), 5);
+        assert_eq!(reads_first.reads_at(1, 2), 0);
+        assert_eq!(reads_first.writes_at(1, 2), 4);
+        assert_eq!(reads_first.clone().reads_at(0, 1), 5);
     }
 
     #[test]

@@ -35,25 +35,21 @@
 //!                   (default 0 = auto: NVPIM_THREADS, else all cores)
 //!   --json          wrap each report in the machine-readable JSON envelope
 //!                   (`nvpim.report/v1`, same encoder nvpim-serve uses)
-//!   --progress      live iteration/ETA progress lines on stderr
-//!   --metrics-out F stream simulator events to F as JSONL
 //!   --manifest F    write a run-manifest JSON artifact to F
 //!   --trace-out F   record hierarchical spans for the whole run and write
 //!                   them to F as Chrome trace-event JSON (Perfetto-loadable)
 //!   --series-out F  sample the per-epoch wear trajectory and write the
 //!                   collected time-series to F as JSON
 //! ```
+//!
+//! An unknown option or a stray argument exits 2 with the usage text.
 
-use std::io::BufWriter;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use nvpim_bench::{experiments, Scale};
-use nvpim_obs::{
-    observer, EventSink, FanoutSink, Json, JsonlSink, Observer, RunManifest, StderrProgressSink,
-    TraceRecorder,
-};
+use nvpim_obs::{observer, Json, Observer, RunManifest, TraceRecorder};
 
 /// Report destination: stdout (text or `--json` envelopes) plus an optional
 /// `--out DIR` copy (`<name>.txt`, or `<name>.json` in JSON mode).
@@ -86,60 +82,99 @@ impl Emitter {
     }
 }
 
+/// The parsed command line.
+#[derive(Default)]
+struct Cli {
+    command: Option<String>,
+    full: bool,
+    check: bool,
+    help: bool,
+    json: bool,
+    iters: Option<u64>,
+    jobs: Option<usize>,
+    out_dir: Option<PathBuf>,
+    manifest_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    series_out: Option<PathBuf>,
+}
+
+impl Cli {
+    /// Parses the arguments after the program name: one command word plus
+    /// known options. An unknown option, or any argument that is neither
+    /// the command nor an option's value, exits 2 with the usage text.
+    fn parse(args: &[String]) -> Cli {
+        let mut cli = Cli::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut value = |missing: &str| match args.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => die(missing),
+            };
+            match arg.as_str() {
+                "--full" => cli.full = true,
+                "--check" => cli.check = true,
+                "--help" | "-h" => cli.help = true,
+                "--json" => cli.json = true,
+                "--iters" => {
+                    let missing = "--iters needs a positive integer";
+                    cli.iters = Some(value(missing).parse().unwrap_or_else(|_| die(missing)));
+                }
+                "--jobs" => {
+                    let missing = "--jobs needs a non-negative integer (0 = auto)";
+                    cli.jobs = Some(value(missing).parse().unwrap_or_else(|_| die(missing)));
+                }
+                "--out" => cli.out_dir = Some(value("--out needs a directory").into()),
+                "--manifest" => {
+                    cli.manifest_out = Some(value("--manifest needs a file path").into())
+                }
+                "--trace-out" => {
+                    cli.trace_out = Some(value("--trace-out needs a file path").into())
+                }
+                "--series-out" => {
+                    cli.series_out = Some(value("--series-out needs a file path").into());
+                }
+                flag if flag.starts_with('-') => usage_error(&format!("unknown option `{flag}`")),
+                word if cli.command.is_none() => cli.command = Some(word.to_owned()),
+                stray => usage_error(&format!("unexpected argument `{stray}`")),
+            }
+        }
+        cli
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::parse(&args);
     // `repro --check` is an alias for the `check` sub-command, so the
     // verification mode composes with any invocation style.
-    let command = if args.iter().any(|a| a == "--check") {
+    let command = if cli.check {
         "check"
+    } else if cli.help {
+        "help"
     } else {
-        args.first().map(String::as_str).unwrap_or("help")
+        cli.command.as_deref().unwrap_or("help")
     };
     let mut exit_code = 0;
 
-    let mut scale = Scale::default_scale();
-    if args.iter().any(|a| a == "--full") {
-        scale = Scale::paper();
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--iters") {
-        let n = args
-            .get(pos + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die("--iters needs a positive integer"));
+    let mut scale = if cli.full { Scale::paper() } else { Scale::default_scale() };
+    if let Some(n) = cli.iters {
         scale = scale.with_iterations(n);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
-        let n = args
-            .get(pos + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die("--jobs needs a non-negative integer (0 = auto)"));
+    if let Some(n) = cli.jobs {
         scale = scale.with_jobs(n);
     }
-    let out_dir: Option<PathBuf> = args.iter().position(|a| a == "--out").map(|pos| {
-        let dir = PathBuf::from(
-            args.get(pos + 1).map(String::as_str).unwrap_or_else(|| die("--out needs a directory")),
-        );
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Some(dir) = &cli.out_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             die(&format!("cannot create {}: {e}", dir.display()));
         }
-        dir
-    });
-
-    let progress = args.iter().any(|a| a == "--progress");
-    let metrics_out = flag_path(&args, "--metrics-out");
-    let manifest_out = flag_path(&args, "--manifest");
-    let trace_out = flag_path(&args, "--trace-out");
-    let series_out = flag_path(&args, "--series-out");
+    }
+    let Cli { out_dir, manifest_out, trace_out, series_out, .. } = cli;
     if series_out.is_some() {
         scale = scale.with_series(true);
     }
-    let observe = progress
-        || metrics_out.is_some()
-        || manifest_out.is_some()
-        || trace_out.is_some()
-        || series_out.is_some();
+    let observe = manifest_out.is_some() || trace_out.is_some() || series_out.is_some();
     let tracer = trace_out.is_some().then(|| Arc::new(TraceRecorder::new()));
-    let obs = observe.then(|| install_observer(progress, metrics_out.as_deref(), tracer.clone()));
+    let obs = observe.then(|| install_observer(tracer.clone()));
     // Open the run's root span before the command executes and park it as
     // the ambient context, so parallel workers join one coherent trace.
     let root = tracer.as_ref().map(|t| {
@@ -147,11 +182,8 @@ fn main() {
         t.set_ambient(span.context());
         span
     });
-    let emitter = Emitter {
-        out_dir: out_dir.clone(),
-        json: args.iter().any(|a| a == "--json"),
-        config: scale_config_json(scale),
-    };
+    let emitter =
+        Emitter { out_dir: out_dir.clone(), json: cli.json, config: scale_config_json(scale) };
     let run_start = Instant::now();
 
     match command {
@@ -228,18 +260,14 @@ fn main() {
             println!();
             emitter.emit("system", &experiments::system_report(scale));
         }
-        "help" | "--help" | "-h" => println!("{USAGE}"),
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            std::process::exit(2);
-        }
+        "help" => println!("{USAGE}"),
+        other => usage_error(&format!("unknown command `{other}`")),
     }
 
     // Close the root span before exporting so its duration covers the
     // whole command.
     drop(root);
     if let Some(obs) = &obs {
-        obs.flush();
         if let Some(path) = &manifest_out {
             let doc = build_manifest(command, &args, scale, obs)
                 .with_wall_ns(run_start.elapsed().as_nanos() as u64)
@@ -266,35 +294,10 @@ fn main() {
     }
 }
 
-/// The value following a `--flag PATH` pair, if the flag is present.
-fn flag_path(args: &[String], flag: &str) -> Option<PathBuf> {
-    args.iter().position(|a| a == flag).map(|pos| {
-        PathBuf::from(
-            args.get(pos + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| die(&format!("{flag} needs a file path"))),
-        )
-    })
-}
-
-/// Installs the process-wide observer the simulator reports into. Always
-/// installed when any observability flag is given (`--manifest` alone still
-/// needs metric aggregation, just no forwarding).
-fn install_observer(
-    progress: bool,
-    metrics_out: Option<&std::path::Path>,
-    tracer: Option<Arc<TraceRecorder>>,
-) -> Arc<Observer> {
-    let mut fan = FanoutSink::new();
-    if progress {
-        fan = fan.with(StderrProgressSink::new());
-    }
-    if let Some(path) = metrics_out {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", path.display())));
-        fan = fan.with(JsonlSink::new(BufWriter::new(file)));
-    }
-    let mut observer = Observer::new(fan);
+/// Installs the process-wide observer the simulator reports into, for a
+/// run that writes a manifest, a trace or a series artifact.
+fn install_observer(tracer: Option<Arc<TraceRecorder>>) -> Arc<Observer> {
+    let mut observer = Observer::collecting();
     if let Some(tracer) = tracer {
         observer = observer.with_tracer(tracer);
     }
@@ -451,6 +454,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+fn usage_error(msg: &str) -> ! {
+    die(&format!("{msg}\n{USAGE}"))
+}
+
 const USAGE: &str = "\
 Usage: repro <command> [--full] [--iters N] [--jobs N]
 
@@ -469,8 +476,6 @@ Options:
   --json            wrap each report in the nvpim.report/v1 JSON envelope
   --out DIR         also write each report to DIR/<command>.txt (.json
                     under --json)
-  --progress        live iteration/ETA progress lines on stderr
-  --metrics-out F   stream simulator events to F as JSONL
   --manifest F      write a run-manifest JSON artifact to F
   --trace-out F     write the run's spans to F as Chrome trace-event JSON
                     (load in Perfetto / chrome://tracing)

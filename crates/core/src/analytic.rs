@@ -105,7 +105,7 @@ use nvpim_workloads::Workload;
 
 use crate::kernel::{self, LaneKeys, PendingTerms, RowVecs};
 use crate::parallel::fan_out;
-use crate::sim::{record_run_end, record_run_start, EpochSample, SimConfig, SimResult};
+use crate::sim::{EpochSample, SimConfig, SimResult};
 
 /// Which rung of the reducibility ladder a configuration landed on — see
 /// the [module docs](self) for the criteria.
@@ -1089,10 +1089,10 @@ impl<'w> AnalyticWearEngine<'w> {
     }
 
     /// [`AnalyticWearEngine::result_at`] with an explicit event sink. An
-    /// enabled sink sees the run's `RunStart`/`RunEnd` and epoch-series
-    /// points, the `sim.analytic_queries` counter, the iteration,
-    /// cell-traffic and remap counters the simulator would have booked, the
-    /// `+Hw` kernels the query compiled as `sim.kernel_compiles`, and — on
+    /// enabled sink sees the run's epoch-series points, the
+    /// `sim.analytic_queries` counter, the iteration, cell-traffic and
+    /// remap counters the simulator would have booked, the `+Hw` kernels
+    /// the query compiled as `sim.kernel_compiles`, and — on
     /// the lazy `+Hw` backend — the `sim.replay` (kernel compiles) and
     /// `sim.scatter` (epoch folds and flushes) phases.
     #[must_use]
@@ -1102,10 +1102,6 @@ impl<'w> AnalyticWearEngine<'w> {
 
     fn answer<S: EventSink>(&mut self, iterations: u64, sink: &S, keep: bool) -> SimResult {
         let enabled = sink.enabled();
-        let started = enabled.then(Instant::now);
-        if enabled {
-            record_run_start(sink, self.workload, self.balance, self.cfg, iterations);
-        }
         let before = self.backend.work();
         let mut series = Vec::new();
         let wear = if self.cfg.epoch_series {
@@ -1141,7 +1137,7 @@ impl<'w> AnalyticWearEngine<'w> {
                 self.balance
             );
         }
-        if let Some(started) = started {
+        if enabled {
             let work = self.backend.work();
             for (name, delta) in [
                 ("sim.analytic_queries", 1),
@@ -1159,7 +1155,6 @@ impl<'w> AnalyticWearEngine<'w> {
                 let scatter = work.scatter_ns - before.scatter_ns;
                 sink.record(&Event::PhaseEnd { phase: "sim.scatter", ns: scatter });
             }
-            record_run_end(sink, iterations, &wear, started);
         }
         SimResult {
             wear,

@@ -3,7 +3,7 @@
 //! The paper's headline figures each need the full (workload × balancing
 //! configuration × architecture style × re-mapping period) matrix — dozens
 //! of completely independent simulations. This module fans such matrices
-//! across an [`nvpim_exec::ParallelRunner`] while keeping two guarantees:
+//! across an [`nvpim_exec::JobPool`] while keeping three guarantees:
 //!
 //! 1. **Bit-identical results.** Every job owns its simulation state (the
 //!    `CombinedMap` RNG streams are derived from the job's own seed), and
@@ -24,7 +24,7 @@
 
 use nvpim_array::ArchStyle;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
-use nvpim_exec::ParallelRunner;
+use nvpim_exec::JobPool;
 use nvpim_obs::{observer, NullSink, Observer};
 use nvpim_workloads::Workload;
 
@@ -33,7 +33,7 @@ use crate::{AnalyticWearEngine, SimConfig, SimResult};
 /// Fans independent jobs across `workers` threads (`0` = auto), returning
 /// outputs in submission order.
 ///
-/// The closure receives `Some(observer)` — a private per-worker sink —
+/// The closure receives `Some(observer)` — a private per-worker observer —
 /// when a process-wide observer is installed, and `None` otherwise (run
 /// against [`NullSink`] for the zero-cost disabled path). Worker observers
 /// are merged into the global one in submission order after all jobs join.
@@ -42,7 +42,7 @@ use crate::{AnalyticWearEngine, SimConfig, SimResult};
 /// environment (workloads, configs) by reference across threads.
 ///
 /// When the run would execute inline anyway (one worker, one job, or a
-/// single-core machine — see [`ParallelRunner::effective_threads`]), the
+/// single-core machine — see [`JobPool::effective_threads`]), the
 /// jobs record straight into the global observer: with a single executor
 /// the submission order *is* the completion order, so the
 /// collect-then-absorb indirection would buy nothing and cost a private
@@ -53,7 +53,7 @@ where
     O: Send,
     F: Fn(I, Option<&Observer>) -> O + Sync,
 {
-    let runner = ParallelRunner::new(workers);
+    let pool = JobPool::new(workers);
     match observer::current() {
         Some(global) => {
             // Capture the trace context once, before any job starts: jobs
@@ -70,14 +70,14 @@ where
                 }
                 f(job, Some(observer))
             };
-            if runner.effective_threads(jobs.len()) <= 1 {
+            if pool.effective_threads(jobs.len()) <= 1 {
                 return jobs
                     .into_iter()
                     .enumerate()
                     .map(|(i, job)| traced(i, &global, job))
                     .collect();
             }
-            let outputs = runner.run(jobs.into_iter().enumerate().collect(), |(i, job)| {
+            let outputs = pool.map(jobs.into_iter().enumerate().collect(), |(i, job)| {
                 let local = Observer::collecting();
                 let out = traced(i, &local, job);
                 (out, local)
@@ -90,7 +90,7 @@ where
                 })
                 .collect()
         }
-        None => runner.run(jobs, |job| f(job, None)),
+        None => pool.map(jobs, |job| f(job, None)),
     }
 }
 

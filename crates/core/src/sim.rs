@@ -255,7 +255,7 @@ impl EnduranceSimulator {
         }
     }
 
-    /// Runs `workload` under `balance`, emitting progress, phase-timing,
+    /// Runs `workload` under `balance`, emitting phase-timing, histogram
     /// and counter [`Event`]s into `sink`.
     ///
     /// The simulator is generic over the sink so that the disabled path
@@ -282,10 +282,6 @@ impl EnduranceSimulator {
         );
 
         let enabled = sink.enabled();
-        let run_start = Instant::now();
-        if enabled {
-            record_run_start(sink, workload, balance, self.cfg, self.cfg.iterations);
-        }
 
         let mut acc = Accumulator::new(trace, self.cfg.track_reads);
         let mut wear = WearMap::new(dims);
@@ -336,14 +332,10 @@ impl EnduranceSimulator {
             iteration += span;
             if enabled {
                 sink.record(&Event::Observe { name: "sim.epoch_span_iters", value: span });
-                sink.record(&Event::Progress { done: iteration, total: self.cfg.iterations });
             }
             if self.cfg.schedule.remaps_after(iteration - 1) {
                 map.advance_epoch();
                 epochs += 1;
-                if enabled {
-                    sink.record(&Event::EpochAdvance { iteration, epoch: map.epoch() });
-                }
             }
             if self.cfg.epoch_series {
                 // Sampled *after* the epoch's wear landed (and after any
@@ -392,7 +384,6 @@ impl EnduranceSimulator {
             sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: wear.total_reads() });
             sink.record(&Event::PhaseEnd { phase: "sim.replay", ns: replay_ns });
             sink.record(&Event::PhaseEnd { phase: "sim.scatter", ns: scatter_ns });
-            record_run_end(sink, self.cfg.iterations, &wear, run_start);
         }
 
         SimResult {
@@ -404,44 +395,6 @@ impl EnduranceSimulator {
             series,
         }
     }
-}
-
-/// Emits the [`Event::RunStart`] that opens one run (or analytic query)
-/// of `iterations` iterations.
-pub(crate) fn record_run_start<S: EventSink>(
-    sink: &S,
-    workload: &Workload,
-    balance: BalanceConfig,
-    cfg: SimConfig,
-    iterations: u64,
-) {
-    let dims = workload.trace().dims();
-    sink.record(&Event::RunStart {
-        workload: workload.name(),
-        config: &balance.to_string(),
-        arch: &cfg.arch.to_string(),
-        iterations,
-        rows: dims.rows(),
-        lanes: dims.lanes(),
-        seed: cfg.seed,
-    });
-}
-
-/// Emits the [`Event::RunEnd`] that closes a run started at `started`,
-/// then flushes the sink.
-pub(crate) fn record_run_end<S: EventSink>(
-    sink: &S,
-    iterations: u64,
-    wear: &WearMap,
-    started: Instant,
-) {
-    sink.record(&Event::RunEnd {
-        iterations,
-        total_writes: wear.total_writes(),
-        max_writes: wear.max_writes(),
-        wall_ns: started.elapsed().as_nanos() as u64,
-    });
-    sink.flush();
 }
 
 /// Per-epoch (class × physical row) write/read tallies, scattered into the
@@ -799,10 +752,10 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_emits_lifecycle_and_counters() {
+    fn instrumented_run_books_counters_and_phases() {
         let wl = small_mul();
         let cfg = SimConfig::default().with_iterations(10).with_schedule(RemapSchedule::every(5));
-        let observer = nvpim_obs::Observer::new(nvpim_obs::MemorySink::new());
+        let observer = nvpim_obs::Observer::collecting();
         let result =
             EnduranceSimulator::new(cfg).run_with(&wl, "StxSt+Hw".parse().unwrap(), &observer);
         let snap = observer.snapshot();

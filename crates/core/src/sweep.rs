@@ -6,7 +6,7 @@
 //! iterations, with only ~1.6% further improvement from 50 → 10.
 
 use nvpim_balance::{BalanceConfig, RemapSchedule};
-use nvpim_exec::ParallelRunner;
+use nvpim_exec::JobPool;
 use nvpim_obs::NullSink;
 use nvpim_workloads::Workload;
 
@@ -39,7 +39,7 @@ fn sweep_schedules(periods: &[u64]) -> Vec<RemapSchedule> {
 /// sweep points — a single point can be microseconds of work, for which
 /// one-job-per-point parallelism loses to serial.
 fn sweep_batches(schedules: Vec<RemapSchedule>, jobs: usize) -> Vec<Vec<RemapSchedule>> {
-    let workers = ParallelRunner::new(jobs).effective_threads(schedules.len()).max(1);
+    let workers = JobPool::new(jobs).effective_threads(schedules.len()).max(1);
     let batch = schedules.len().div_ceil(workers);
     schedules.chunks(batch).map(<[RemapSchedule]>::to_vec).collect()
 }

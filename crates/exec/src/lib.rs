@@ -8,10 +8,10 @@
 //! - [`JobPool`]: a scoped-thread worker pool (`std::thread::scope` plus a
 //!   shared work queue) whose width honors
 //!   [`std::thread::available_parallelism`] with an `NVPIM_THREADS`
-//!   environment override;
-//! - [`ParallelRunner`]: fans a job list out across the pool and merges the
-//!   results back **in submission order**, so a parallel run is bit-identical
-//!   to the serial loop it replaces regardless of worker scheduling;
+//!   environment override. [`JobPool::map`] fans a job list out across the
+//!   workers and returns the results **in submission order**, so a parallel
+//!   run is bit-identical to the serial loop it replaces regardless of
+//!   worker scheduling;
 //! - [`TaskQueue`]: the service-shaped complement — persistent workers over
 //!   a *bounded* submission queue with fail-fast overflow (backpressure)
 //!   and a graceful drain, used by the `nvpim-serve` HTTP front end.
@@ -24,10 +24,10 @@
 //! ## Example
 //!
 //! ```
-//! use nvpim_exec::ParallelRunner;
+//! use nvpim_exec::JobPool;
 //!
-//! let runner = ParallelRunner::new(4);
-//! let squares = runner.run((0u64..8).collect(), |x| x * x);
+//! let pool = JobPool::new(4);
+//! let squares = pool.map((0u64..8).collect(), |x| x * x);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -36,10 +36,8 @@
 
 pub mod pool;
 pub mod queue;
-pub mod runner;
 
 pub use pool::{
     available_threads, invalid_env_rejections, machine_parallelism, validate_threads, JobPool,
 };
 pub use queue::{SubmitError, TaskQueue};
-pub use runner::ParallelRunner;

@@ -59,7 +59,7 @@ pub fn validate_threads(value: Option<&str>) -> Result<Option<usize>, String> {
 /// to "no override" but emits a one-time stderr warning naming the rejected
 /// value, bumps [`invalid_env_rejections`], and — when a process-wide
 /// [`nvpim_obs::Observer`] is installed — records an
-/// `exec.invalid_threads_env` counter and message event.
+/// `exec.invalid_threads_env` counter.
 #[must_use]
 pub fn parse_threads(value: Option<&str>) -> Option<usize> {
     match validate_threads(value) {
@@ -83,17 +83,15 @@ pub fn invalid_env_rejections() -> u64 {
 
 fn note_invalid_override(rejected: &str) {
     INVALID_ENV_REJECTIONS.fetch_add(1, Ordering::Relaxed);
-    let message = format!(
-        "ignoring invalid {THREADS_ENV}={rejected:?} (expected a non-negative \
-         integer; 0 = auto); falling back to auto-detected parallelism"
-    );
     if let Some(observer) = nvpim_obs::observer::current() {
-        use nvpim_obs::EventSink as _;
-        observer
-            .record(&nvpim_obs::Event::CounterAdd { name: "exec.invalid_threads_env", delta: 1 });
-        observer.record(&nvpim_obs::Event::Message { text: &message });
+        observer.metrics().counter("exec.invalid_threads_env").inc();
     }
-    WARN_ONCE.call_once(|| eprintln!("nvpim-exec: {message}"));
+    WARN_ONCE.call_once(|| {
+        eprintln!(
+            "nvpim-exec: ignoring invalid {THREADS_ENV}={rejected:?} (expected a \
+             non-negative integer; 0 = auto); falling back to auto-detected parallelism"
+        );
+    });
 }
 
 /// A fixed-width pool of scoped worker threads draining a shared job queue.
@@ -239,6 +237,16 @@ mod tests {
             i * 10
         });
         assert_eq!(out, (0..32u64).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_matches_serial_loop_at_any_width() {
+        let jobs: Vec<u64> = (0..50).collect();
+        let serial: Vec<u64> = jobs.iter().map(|&x| x * x + 1).collect();
+        for threads in [1, 2, 8] {
+            let parallel = JobPool::new(threads).map(jobs.clone(), |x| x * x + 1);
+            assert_eq!(parallel, serial, "{threads} threads");
+        }
     }
 
     #[test]

@@ -1,44 +1,13 @@
-//! Structured run events flowing from instrumented code into sinks.
-
-use crate::json::Json;
+//! Structured bookkeeping events flowing from instrumented code into the
+//! [`Observer`](crate::Observer)'s registries.
 
 /// One observable occurrence inside the simulation stack.
 ///
 /// Events borrow their string payloads so the emitting hot path never
-/// allocates; sinks that persist events serialize them immediately.
+/// allocates; the observer aggregates each one into its registries as it
+/// arrives.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event<'a> {
-    /// A simulation run began.
-    RunStart {
-        /// Workload identifier (e.g. `mul32x1024`).
-        workload: &'a str,
-        /// Balancing configuration (e.g. `RaxSt+Hw`).
-        config: &'a str,
-        /// Architecture style (e.g. `preset-output`).
-        arch: &'a str,
-        /// Iterations that will be replayed.
-        iterations: u64,
-        /// Array rows.
-        rows: usize,
-        /// Array lanes.
-        lanes: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Progress inside a run (emitted only to enabled sinks).
-    Progress {
-        /// Iterations completed.
-        done: u64,
-        /// Iterations requested.
-        total: u64,
-    },
-    /// A software re-mapping (re-compilation) epoch boundary.
-    EpochAdvance {
-        /// Iteration after which the remap happened.
-        iteration: u64,
-        /// New epoch number.
-        epoch: u64,
-    },
     /// A named phase completed, taking `ns` nanoseconds of wall time.
     PhaseEnd {
         /// Phase name (e.g. `sim.replay`).
@@ -52,13 +21,6 @@ pub enum Event<'a> {
         name: &'a str,
         /// Increment.
         delta: u64,
-    },
-    /// A named gauge was set (routed into the observer's registry).
-    GaugeSet {
-        /// Metric name.
-        name: &'a str,
-        /// New level.
-        value: f64,
     },
     /// A value was observed into a named histogram.
     Observe {
@@ -77,108 +39,4 @@ pub enum Event<'a> {
         /// Sample value.
         value: f64,
     },
-    /// A simulation run finished.
-    RunEnd {
-        /// Iterations replayed.
-        iterations: u64,
-        /// Total cell writes accumulated.
-        total_writes: u64,
-        /// Writes suffered by the hottest cell.
-        max_writes: u64,
-        /// Wall time of the run in nanoseconds.
-        wall_ns: u64,
-    },
-    /// Free-form annotation.
-    Message {
-        /// The annotation.
-        text: &'a str,
-    },
-}
-
-impl Event<'_> {
-    /// Machine-readable event kind (the `"event"` field of JSONL records).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::Progress { .. } => "progress",
-            Event::EpochAdvance { .. } => "epoch_advance",
-            Event::PhaseEnd { .. } => "phase_end",
-            Event::CounterAdd { .. } => "counter_add",
-            Event::GaugeSet { .. } => "gauge_set",
-            Event::Observe { .. } => "observe",
-            Event::SeriesPoint { .. } => "series_point",
-            Event::RunEnd { .. } => "run_end",
-            Event::Message { .. } => "message",
-        }
-    }
-
-    /// Serializes the event payload (without sink-added envelope fields).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let obj = Json::object().with("event", self.kind());
-        match *self {
-            Event::RunStart { workload, config, arch, iterations, rows, lanes, seed } => obj
-                .with("workload", workload)
-                .with("config", config)
-                .with("arch", arch)
-                .with("iterations", iterations)
-                .with("rows", rows)
-                .with("lanes", lanes)
-                .with("seed", seed),
-            Event::Progress { done, total } => obj.with("done", done).with("total", total),
-            Event::EpochAdvance { iteration, epoch } => {
-                obj.with("iteration", iteration).with("epoch", epoch)
-            }
-            Event::PhaseEnd { phase, ns } => obj.with("phase", phase).with("ns", ns),
-            Event::CounterAdd { name, delta } => obj.with("name", name).with("delta", delta),
-            Event::GaugeSet { name, value } => obj.with("name", name).with("value", value),
-            Event::Observe { name, value } => obj.with("name", name).with("value", value),
-            Event::SeriesPoint { series, index, value } => {
-                obj.with("series", series).with("index", index).with("value", value)
-            }
-            Event::RunEnd { iterations, total_writes, max_writes, wall_ns } => obj
-                .with("iterations", iterations)
-                .with("total_writes", total_writes)
-                .with("max_writes", max_writes)
-                .with("wall_ns", wall_ns),
-            Event::Message { text } => obj.with("text", text),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_are_distinct_and_json_is_valid() {
-        let events = [
-            Event::RunStart {
-                workload: "mul",
-                config: "StxSt",
-                arch: "preset-output",
-                iterations: 10,
-                rows: 8,
-                lanes: 4,
-                seed: 1,
-            },
-            Event::Progress { done: 5, total: 10 },
-            Event::EpochAdvance { iteration: 99, epoch: 1 },
-            Event::PhaseEnd { phase: "sim.replay", ns: 1234 },
-            Event::CounterAdd { name: "sim.steps", delta: 7 },
-            Event::GaugeSet { name: "sim.frac", value: 0.5 },
-            Event::Observe { name: "sim.span_iters", value: 100 },
-            Event::SeriesPoint { series: "wear.max", index: 100, value: 12.0 },
-            Event::RunEnd { iterations: 10, total_writes: 100, max_writes: 9, wall_ns: 5 },
-            Event::Message { text: "hello" },
-        ];
-        let mut kinds = std::collections::BTreeSet::new();
-        for ev in &events {
-            assert!(kinds.insert(ev.kind()), "duplicate kind {}", ev.kind());
-            let doc = ev.to_json().render();
-            let parsed = crate::json::parse(&doc).expect("valid JSON");
-            assert_eq!(parsed.get("event").and_then(|j| j.as_str()), Some(ev.kind()));
-        }
-    }
 }

@@ -10,26 +10,27 @@
 //!   once; updates are lock-free. Histograms are log2-bucketed.
 //! - **Spans** ([`SpanCollector`], [`Span`]): RAII wall-time guards feeding a
 //!   per-phase `count / total / max` breakdown.
-//! - **Sinks** ([`EventSink`], [`NullSink`], [`StderrProgressSink`],
-//!   [`JsonlSink`], [`MemorySink`]): pluggable destinations for structured
-//!   [`Event`]s. Instrumented code is *generic* over the sink, so the
+//! - **Sinks** ([`EventSink`], [`NullSink`]): instrumented code emits
+//!   bookkeeping [`Event`]s into a sink it is *generic* over, so the
 //!   disabled path monomorphizes against [`NullSink`] — whose `enabled()`
-//!   is a constant `false` — and compiles to nothing.
+//!   is a constant `false` — and compiles to nothing. The enabled sink is
+//!   the aggregating [`Observer`].
 //! - **Manifests** ([`RunManifest`]): a diffable JSON artifact per run,
 //!   capturing config, environment, phase timings, metric snapshots, and
 //!   lifetime results. [`RunManifest::render_stable`] zeroes wall-time
 //!   fields so equal-config, equal-seed runs are byte-identical.
 //!
 //! A process-wide [`Observer`] (installed via [`observer::install`], found
-//! via [`observer::current`]) aggregates bookkeeping events into a registry
-//! and span collector while forwarding the stream to a chosen sink.
+//! via [`observer::current`]) aggregates bookkeeping events into a metrics
+//! registry, a span collector and a series registry; a run's manifest and
+//! trace are rendered from those aggregates.
 //!
 //! ## Example
 //!
 //! ```
-//! use nvpim_obs::{Event, EventSink, MemorySink, Observer, RunManifest};
+//! use nvpim_obs::{Event, EventSink, Observer, RunManifest};
 //!
-//! let observer = Observer::new(MemorySink::new());
+//! let observer = Observer::collecting();
 //! observer.record(&Event::CounterAdd { name: "sim.iterations", delta: 100 });
 //! {
 //!     let _phase = observer.spans().enter("sim.replay");
@@ -60,6 +61,6 @@ pub use manifest::RunManifest;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use observer::Observer;
 pub use series::{Series, SeriesPoint, SeriesRegistry, SeriesSnapshot};
-pub use sink::{EventSink, FanoutSink, JsonlSink, MemorySink, NullSink, StderrProgressSink};
+pub use sink::{EventSink, NullSink};
 pub use span::{PhaseStat, Span, SpanCollector};
 pub use trace::{FlameRow, SpanGuard, SpanRecord, TraceContext, TraceId, TraceRecorder};

@@ -1,6 +1,5 @@
 //! The [`Observer`]: an [`EventSink`] that aggregates bookkeeping events
-//! into a [`MetricsRegistry`] and [`SpanCollector`] while forwarding the
-//! full stream to a user-chosen inner sink.
+//! into a [`MetricsRegistry`], a [`SpanCollector`] and a [`SeriesRegistry`].
 //!
 //! A process-wide observer can be installed once via [`install`]; code deep
 //! in the stack picks it up with [`current`] without any plumbing through
@@ -11,48 +10,28 @@ use std::sync::{Arc, OnceLock};
 use crate::event::Event;
 use crate::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use crate::series::SeriesRegistry;
-use crate::sink::{EventSink, NullSink};
+use crate::sink::EventSink;
 use crate::span::SpanCollector;
 use crate::trace::TraceRecorder;
 
-/// Aggregating sink: counters/gauges/histograms land in a registry, phase
-/// timings in a span collector, time-series samples in a series registry,
-/// and every event is forwarded downstream. An optional [`TraceRecorder`]
-/// rides along so instrumentation sites can open hierarchical spans when
-/// tracing is on without any extra plumbing.
+/// Aggregating sink: counters and histograms land in a registry, phase
+/// timings in a span collector, and time-series samples in a series
+/// registry. An optional [`TraceRecorder`] rides along so instrumentation
+/// sites can open hierarchical spans when tracing is on without any extra
+/// plumbing.
+#[derive(Debug, Default)]
 pub struct Observer {
     metrics: MetricsRegistry,
     spans: SpanCollector,
     series: SeriesRegistry,
     tracer: Option<Arc<TraceRecorder>>,
-    sink: Box<dyn EventSink + Send + Sync>,
-    forward: bool,
-}
-
-impl std::fmt::Debug for Observer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Observer").field("forward", &self.forward).finish_non_exhaustive()
-    }
-}
-
-impl Default for Observer {
-    fn default() -> Self {
-        Observer::new(NullSink)
-    }
 }
 
 impl Observer {
-    /// An observer forwarding events to `sink`.
-    pub fn new<S: EventSink + Send + Sync + 'static>(sink: S) -> Self {
-        let forward = sink.enabled();
-        Observer {
-            metrics: MetricsRegistry::new(),
-            spans: SpanCollector::new(),
-            series: SeriesRegistry::new(),
-            tracer: None,
-            sink: Box::new(sink),
-            forward,
-        }
+    /// An empty aggregating observer.
+    #[must_use]
+    pub fn collecting() -> Self {
+        Observer::default()
     }
 
     /// Attaches a trace recorder: instrumentation that checks
@@ -69,14 +48,8 @@ impl Observer {
         self.tracer.as_ref()
     }
 
-    /// An observer that only aggregates (no downstream sink).
-    #[must_use]
-    pub fn collecting() -> Self {
-        Observer::default()
-    }
-
-    /// The metrics registry fed by [`Event::CounterAdd`], [`Event::GaugeSet`]
-    /// and [`Event::Observe`] (and usable directly).
+    /// The metrics registry fed by [`Event::CounterAdd`] and
+    /// [`Event::Observe`] (and usable directly).
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -101,34 +74,20 @@ impl Observer {
         self.metrics.snapshot()
     }
 
-    /// Drains another observer's aggregated state into this one.
+    /// Merges another observer's aggregated state into this one.
     ///
     /// Parallel simulation workers each record into a private
-    /// [`Observer::collecting`] sink (so event streams never interleave
-    /// across threads); on join, the driver absorbs each worker in
-    /// deterministic submission order. Counters, histogram tallies, and
-    /// per-phase span timings merge **exactly** — the global totals equal
-    /// what a serial run would have booked.
-    ///
-    /// Counter and gauge deltas are forwarded to the downstream sink as
-    /// aggregate [`Event::CounterAdd`] / [`Event::GaugeSet`] events;
-    /// fine-grained per-event streams (progress lines, per-epoch
-    /// observations) are by design not replayed.
+    /// [`Observer::collecting`] observer; on join, the driver absorbs each
+    /// worker in deterministic submission order. Counters (zero-valued ones
+    /// included), histogram tallies, per-phase span timings and series
+    /// merge **exactly**, so the totals and the set of registered names
+    /// equal what a serial run would have booked.
     pub fn absorb(&self, other: &Observer) {
-        let snap = other.metrics.snapshot();
-        for (name, value) in &snap.metrics {
+        for (name, value) in &other.metrics.snapshot().metrics {
             match value {
-                MetricValue::Counter(total) => {
-                    if *total > 0 {
-                        self.record(&Event::CounterAdd { name, delta: *total });
-                    }
-                }
-                MetricValue::Gauge(level) => {
-                    self.record(&Event::GaugeSet { name, value: *level });
-                }
-                MetricValue::Histogram(hist) => {
-                    self.metrics.histogram(name).merge_snapshot(hist);
-                }
+                MetricValue::Counter(total) => self.metrics.counter(name).add(*total),
+                MetricValue::Gauge(level) => self.metrics.gauge(name).set(*level),
+                MetricValue::Histogram(hist) => self.metrics.histogram(name).merge_snapshot(hist),
             }
         }
         for (phase, stat) in other.spans.report() {
@@ -139,26 +98,13 @@ impl Observer {
 }
 
 impl EventSink for Observer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn record(&self, event: &Event<'_>) {
         match *event {
             Event::CounterAdd { name, delta } => self.metrics.counter(name).add(delta),
-            Event::GaugeSet { name, value } => self.metrics.gauge(name).set(value),
             Event::Observe { name, value } => self.metrics.histogram(name).record(value),
             Event::SeriesPoint { series, index, value } => self.series.push(series, index, value),
             Event::PhaseEnd { phase, ns } => self.spans.add(phase, ns),
-            _ => {}
         }
-        if self.forward {
-            self.sink.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        self.sink.flush();
     }
 }
 
@@ -187,35 +133,26 @@ pub fn current() -> Option<Arc<Observer>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
 
     #[test]
-    fn observer_routes_and_forwards() {
-        let obs = Observer::new(MemorySink::new());
+    fn observer_routes_events_into_registries() {
+        let obs = Observer::collecting();
         obs.record(&Event::CounterAdd { name: "c", delta: 2 });
         obs.record(&Event::CounterAdd { name: "c", delta: 3 });
-        obs.record(&Event::GaugeSet { name: "g", value: 1.5 });
         obs.record(&Event::Observe { name: "h", value: 7 });
         obs.record(&Event::PhaseEnd { phase: "p", ns: 10 });
         assert_eq!(obs.metrics().counter("c").get(), 5);
-        assert_eq!(obs.metrics().gauge("g").get(), 1.5);
+        assert_eq!(obs.metrics().histogram("h").snapshot().count, 1);
         assert_eq!(obs.spans().phase("p").unwrap().count, 1);
         assert_eq!(obs.snapshot().counter("c"), Some(5));
-    }
-
-    #[test]
-    fn observer_with_null_sink_still_aggregates() {
-        let obs = Observer::collecting();
-        obs.record(&Event::CounterAdd { name: "c", delta: 1 });
-        assert_eq!(obs.metrics().counter("c").get(), 1);
-        // The observer itself stays enabled so emission sites keep sending
-        // bookkeeping events even when nothing is forwarded.
+        // The observer is always enabled, so emission sites guarded on
+        // `enabled()` keep sending it bookkeeping events.
         assert!(obs.enabled());
     }
 
     #[test]
     fn absorb_merges_workers_exactly() {
-        let global = Observer::new(MemorySink::new());
+        let global = Observer::collecting();
         global.record(&Event::CounterAdd { name: "sim.iterations", delta: 10 });
         global.record(&Event::PhaseEnd { phase: "sim.replay", ns: 5 });
 
@@ -228,7 +165,7 @@ mod tests {
         let worker_b = Observer::collecting();
         worker_b.record(&Event::CounterAdd { name: "sim.iterations", delta: 5 });
         worker_b.record(&Event::Observe { name: "sim.epoch_span_iters", value: 50 });
-        worker_b.record(&Event::GaugeSet { name: "sim.load", value: 0.5 });
+        worker_b.metrics().gauge("sim.load").set(0.5);
 
         global.absorb(&worker_a);
         global.absorb(&worker_b);
@@ -244,6 +181,17 @@ mod tests {
         assert_eq!(replay.count, 3);
         assert_eq!(replay.total_ns, 28);
         assert_eq!(replay.max_ns, 20);
+    }
+
+    #[test]
+    fn absorb_registers_zero_counters() {
+        // A worker that booked a counter at zero must leave the name
+        // registered, exactly as recording into the global observer would.
+        let worker = Observer::collecting();
+        worker.record(&Event::CounterAdd { name: "array.cell_reads", delta: 0 });
+        let global = Observer::collecting();
+        global.absorb(&worker);
+        assert_eq!(global.snapshot().counter("array.cell_reads"), Some(0));
     }
 
     #[test]

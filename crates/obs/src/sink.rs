@@ -1,21 +1,14 @@
-//! Pluggable event sinks.
+//! The event sink interface instrumented code is generic over.
 //!
 //! Instrumented code is generic over [`EventSink`] so the disabled path
 //! monomorphizes away: [`NullSink::enabled`] is a constant `false`, which
 //! turns `if sink.enabled() { ... }` guards around high-frequency emissions
-//! into dead code the optimizer removes entirely.
-
-use std::io::Write as IoWrite;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+//! into dead code the optimizer removes entirely. The one enabled sink is
+//! the aggregating [`Observer`](crate::Observer).
 
 use crate::event::Event;
 
 /// Destination for [`Event`]s emitted by instrumented code.
-///
-/// Implementations must be cheap to call; anything expensive (I/O,
-/// formatting) should be throttled or buffered internally.
 pub trait EventSink {
     /// Whether this sink wants events at all. High-frequency emission sites
     /// guard on this so a disabled sink costs nothing. Defaults to `true`.
@@ -26,51 +19,6 @@ pub trait EventSink {
 
     /// Delivers one event.
     fn record(&self, event: &Event<'_>);
-
-    /// Flushes any buffered output. Defaults to a no-op.
-    fn flush(&self) {}
-}
-
-impl<S: EventSink + ?Sized> EventSink for &S {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    #[inline]
-    fn record(&self, event: &Event<'_>) {
-        (**self).record(event);
-    }
-    fn flush(&self) {
-        (**self).flush();
-    }
-}
-
-impl<S: EventSink + ?Sized> EventSink for Box<S> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    #[inline]
-    fn record(&self, event: &Event<'_>) {
-        (**self).record(event);
-    }
-    fn flush(&self) {
-        (**self).flush();
-    }
-}
-
-impl<S: EventSink + ?Sized> EventSink for std::sync::Arc<S> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    #[inline]
-    fn record(&self, event: &Event<'_>) {
-        (**self).record(event);
-    }
-    fn flush(&self) {
-        (**self).flush();
-    }
 }
 
 /// Sink that discards everything. `enabled()` is a constant `false`, so
@@ -88,253 +36,6 @@ impl EventSink for NullSink {
     fn record(&self, _event: &Event<'_>) {}
 }
 
-/// In-memory sink capturing serialized events, for tests and inspection.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<String>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// All captured events, rendered as compact JSON, in arrival order.
-    #[must_use]
-    pub fn events(&self) -> Vec<String> {
-        self.events.lock().expect("memory sink poisoned").clone()
-    }
-
-    /// Number of captured events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink poisoned").len()
-    }
-
-    /// Whether no events arrived yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for MemorySink {
-    fn record(&self, event: &Event<'_>) {
-        self.events.lock().expect("memory sink poisoned").push(event.to_json().render());
-    }
-}
-
-/// Human-oriented progress reporter writing single-line updates to stderr.
-///
-/// Progress events are throttled to at most one line per `min_interval`;
-/// lifecycle events (run start/end, epoch advances, messages) always print.
-#[derive(Debug)]
-pub struct StderrProgressSink {
-    start: Instant,
-    min_interval: Duration,
-    last_emit_ns: AtomicU64,
-}
-
-impl Default for StderrProgressSink {
-    fn default() -> Self {
-        StderrProgressSink::new()
-    }
-}
-
-impl StderrProgressSink {
-    /// A sink printing at most five progress lines per second.
-    #[must_use]
-    pub fn new() -> Self {
-        StderrProgressSink::with_interval(Duration::from_millis(200))
-    }
-
-    /// A sink printing at most one progress line per `min_interval`.
-    #[must_use]
-    pub fn with_interval(min_interval: Duration) -> Self {
-        StderrProgressSink { start: Instant::now(), min_interval, last_emit_ns: AtomicU64::new(0) }
-    }
-
-    /// Rate limiter: returns true (and books the emission) if enough time
-    /// passed since the previous progress line.
-    fn should_emit(&self) -> bool {
-        let now_ns = self.start.elapsed().as_nanos() as u64;
-        let last = self.last_emit_ns.load(Ordering::Relaxed);
-        let min_ns = self.min_interval.as_nanos() as u64;
-        if now_ns.saturating_sub(last) < min_ns && last != 0 {
-            return false;
-        }
-        self.last_emit_ns
-            .compare_exchange(last, now_ns.max(1), Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    fn eta(&self, done: u64, total: u64) -> String {
-        if done == 0 || total <= done {
-            return "--".to_owned();
-        }
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let remaining = elapsed * (total - done) as f64 / done as f64;
-        if remaining >= 90.0 {
-            format!("{:.1}min", remaining / 60.0)
-        } else {
-            format!("{remaining:.0}s")
-        }
-    }
-}
-
-impl EventSink for StderrProgressSink {
-    fn record(&self, event: &Event<'_>) {
-        match *event {
-            Event::RunStart { workload, config, arch, iterations, rows, lanes, seed } => {
-                eprintln!(
-                    "[obs] run start: {workload} config={config} arch={arch} \
-                     dims={rows}x{lanes} iterations={iterations} seed={seed}"
-                );
-            }
-            Event::Progress { done, total } => {
-                if self.should_emit() {
-                    let pct = if total == 0 { 100.0 } else { 100.0 * done as f64 / total as f64 };
-                    eprintln!(
-                        "[obs] iteration {done}/{total} ({pct:.1}%) elapsed={:.1}s eta={}",
-                        self.start.elapsed().as_secs_f64(),
-                        self.eta(done, total),
-                    );
-                }
-            }
-            Event::EpochAdvance { iteration, epoch } => {
-                eprintln!("[obs] remap after iteration {iteration}: epoch {epoch}");
-            }
-            Event::RunEnd { iterations, total_writes, max_writes, wall_ns } => {
-                eprintln!(
-                    "[obs] run end: {iterations} iterations, {total_writes} cell writes \
-                     (max/cell {max_writes}) in {:.2}s",
-                    wall_ns as f64 / 1e9,
-                );
-            }
-            Event::Message { text } => eprintln!("[obs] {text}"),
-            // Bookkeeping events carry no information a human watching
-            // progress needs; the observer's registry aggregates them.
-            Event::PhaseEnd { .. }
-            | Event::CounterAdd { .. }
-            | Event::GaugeSet { .. }
-            | Event::Observe { .. }
-            | Event::SeriesPoint { .. } => {}
-        }
-    }
-
-    fn flush(&self) {
-        let _ = std::io::stderr().flush();
-    }
-}
-
-/// Sink appending one compact JSON object per event to a writer (JSONL).
-///
-/// Each line carries a monotonically increasing `"seq"` plus the event
-/// payload from [`Event::to_json`]. I/O errors are counted, not propagated:
-/// observability must never abort a simulation.
-#[derive(Debug)]
-pub struct JsonlSink<W: IoWrite + Send> {
-    writer: Mutex<W>,
-    seq: AtomicU64,
-    errors: AtomicU64,
-}
-
-impl<W: IoWrite + Send> JsonlSink<W> {
-    /// Wraps `writer`; consider a `BufWriter` for file targets.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer: Mutex::new(writer), seq: AtomicU64::new(0), errors: AtomicU64::new(0) }
-    }
-
-    /// Number of events whose write failed.
-    #[must_use]
-    pub fn error_count(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> W {
-        let mut writer = self.writer.into_inner().expect("jsonl sink poisoned");
-        let _ = writer.flush();
-        writer
-    }
-}
-
-impl<W: IoWrite + Send> EventSink for JsonlSink<W> {
-    fn record(&self, event: &Event<'_>) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let line = event.to_json().with("seq", seq).render();
-        let mut writer = self.writer.lock().expect("jsonl sink poisoned");
-        if writeln!(writer, "{line}").is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn flush(&self) {
-        let mut writer = self.writer.lock().expect("jsonl sink poisoned");
-        let _ = writer.flush();
-    }
-}
-
-/// Broadcasts every event to several sinks (e.g. stderr progress plus a
-/// JSONL file).
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn EventSink + Send + Sync>>,
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-impl FanoutSink {
-    /// An empty fanout (disabled until a sink is added).
-    #[must_use]
-    pub fn new() -> Self {
-        FanoutSink::default()
-    }
-
-    /// Adds a destination.
-    #[must_use]
-    pub fn with<S: EventSink + Send + Sync + 'static>(mut self, sink: S) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Number of destinations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether there are no destinations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn record(&self, event: &Event<'_>) {
-        for sink in &self.sinks {
-            sink.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,63 +43,6 @@ mod tests {
     #[test]
     fn null_sink_reports_disabled() {
         assert!(!NullSink.enabled());
-        NullSink.record(&Event::Message { text: "dropped" });
-    }
-
-    #[test]
-    fn memory_sink_captures_in_order() {
-        let sink = MemorySink::new();
-        sink.record(&Event::Message { text: "first" });
-        sink.record(&Event::Progress { done: 1, total: 2 });
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].contains("\"first\""));
-        assert!(events[1].contains("\"progress\""));
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines_with_seq() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.record(&Event::Message { text: "a" });
-        sink.record(&Event::CounterAdd { name: "c", delta: 3 });
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let doc = crate::json::parse(line).expect("valid JSONL line");
-            assert_eq!(doc.get("seq").and_then(|j| j.as_u64()), Some(i as u64));
-        }
-    }
-
-    #[test]
-    fn reference_and_box_forward() {
-        let sink = MemorySink::new();
-        let by_ref: &dyn EventSink = &sink;
-        by_ref.record(&Event::Message { text: "via ref" });
-        let boxed: Box<dyn EventSink + '_> = Box::new(&sink);
-        boxed.record(&Event::Message { text: "via box" });
-        assert!(boxed.enabled());
-        assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn progress_sink_throttles() {
-        let sink = StderrProgressSink::with_interval(Duration::from_secs(3600));
-        assert!(sink.should_emit());
-        assert!(!sink.should_emit());
-    }
-
-    #[test]
-    fn fanout_broadcasts_and_reports_enabled() {
-        assert!(!FanoutSink::new().enabled());
-        let a = std::sync::Arc::new(MemorySink::new());
-        let b = std::sync::Arc::new(MemorySink::new());
-        let fan = FanoutSink::new().with(a.clone()).with(b.clone());
-        assert!(fan.enabled());
-        assert_eq!(fan.len(), 2);
-        fan.record(&Event::Message { text: "both" });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
+        NullSink.record(&Event::CounterAdd { name: "dropped", delta: 1 });
     }
 }

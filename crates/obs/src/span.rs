@@ -42,7 +42,7 @@ impl SpanCollector {
     }
 
     /// Books `ns` nanoseconds under `name` directly (for externally-measured
-    /// durations, e.g. phase timings reported through an event stream).
+    /// durations, e.g. phase timings booked as `PhaseEnd` events).
     pub fn add(&self, name: &str, ns: u64) {
         let mut inner = self.inner.lock().expect("span collector poisoned");
         let stat = inner.entry(name.to_owned()).or_default();

@@ -114,7 +114,7 @@ OPTIONS:
     --queue-depth N      pending-connection bound before 429 (default 64)
     --timeout-ms MS      per-request budget for /simulate, 0 = unlimited (default 30000)
     --cache-entries N    in-memory result-cache capacity (default 256)
-    --cache-dir DIR      enable on-disk cache spill, manifests, and event log
+    --cache-dir DIR      enable on-disk cache spill and run manifests
     --cache-max-bytes N  spill-directory byte budget, 0 = unlimited (default 0)
     --cache-max-age S    spill-entry age limit in seconds, 0 = unlimited (default 0)
     -h, --help           this help

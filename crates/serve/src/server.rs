@@ -36,8 +36,7 @@ use std::time::{Duration, Instant};
 use nvpim_core::AnalyticWearEngine;
 use nvpim_exec::{JobPool, SubmitError, TaskQueue};
 use nvpim_obs::{
-    Event, EventSink as _, Json, JsonlSink, Observer, RunManifest, TraceContext, TraceId,
-    TraceRecorder,
+    Event, EventSink as _, Json, Observer, RunManifest, TraceContext, TraceId, TraceRecorder,
 };
 
 use crate::cache::ResultCache;
@@ -66,8 +65,8 @@ pub struct ServerConfig {
     pub timeout_ms: u64,
     /// In-memory result-cache capacity (entries).
     pub cache_entries: usize,
-    /// Directory for the on-disk cache spill, run manifests, and the JSONL
-    /// event log. `None` keeps everything in memory.
+    /// Directory for the on-disk cache spill and the run manifests. `None`
+    /// keeps everything in memory.
     pub cache_dir: Option<PathBuf>,
     /// Value of the `Retry-After` header on `429` responses, in seconds.
     pub retry_after_s: u64,
@@ -185,16 +184,8 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let observer = match &config.cache_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let file = std::fs::File::create(dir.join("events.jsonl"))?;
-                Observer::new(JsonlSink::new(std::io::BufWriter::new(file)))
-            }
-            None => Observer::collecting(),
-        };
         let tracer = Arc::new(TraceRecorder::new());
-        let observer = observer.with_tracer(Arc::clone(&tracer));
+        let observer = Observer::collecting().with_tracer(Arc::clone(&tracer));
         let workers = JobPool::new(config.workers).threads();
         let manifest_dir = config.cache_dir.as_ref().map(|d| d.join("manifests"));
         if let Some(dir) = &manifest_dir {
@@ -293,7 +284,6 @@ fn accept_loop(
         }
     }
     queue.drain();
-    state.observer.flush();
 }
 
 /// Writes a terse error response on a connection the server will not

@@ -1,7 +1,6 @@
 //! Observability walkthrough: answer one configuration through the
-//! analytic engine with run lifecycle lines on stderr, then dump the
-//! aggregated metrics, per-phase timings, and a diffable `RunManifest`
-//! artifact.
+//! analytic engine into an aggregating observer, then dump the aggregated
+//! metrics, per-phase timings, and a diffable `RunManifest` artifact.
 //!
 //! Run with: `cargo run --release --example observed_run`
 
@@ -9,11 +8,10 @@ use nvpim::obs::Json;
 use nvpim::prelude::*;
 
 fn main() {
-    // An Observer aggregates counters/span timings from the engine and
-    // forwards the event stream to a sink — here, progress lines on
-    // stderr. Passing `NullSink` instead would compile the whole
+    // An Observer aggregates the counters, phase timings and series the
+    // engine books. Passing `NullSink` instead would compile the whole
     // instrumentation path away.
-    let observer = Observer::new(StderrProgressSink::new());
+    let observer = Observer::collecting();
 
     let dims = ArrayDims::new(1024, 256);
     let workload = ParallelMul::new(dims, 32).build();

@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use nvpim_logic::{circuits, words, CircuitBuilder, GateKind};
     pub use nvpim_nvm::{DeviceParams, EnduranceModel, Technology};
-    pub use nvpim_obs::{EventSink, Observer, RunManifest, StderrProgressSink};
+    pub use nvpim_obs::{EventSink, Observer, RunManifest};
     pub use nvpim_workloads::convolution::Convolution;
     pub use nvpim_workloads::dot_product::DotProduct;
     pub use nvpim_workloads::parallel_mul::ParallelMul;
